@@ -9,8 +9,9 @@ For every workload and every end_to_end metric of BENCHMARK.json, the median
 of NEW may be worse than the median of BASE by at most the metric's bound;
 the share of failed requests may not rise at all. Results whose machine or
 build stamps differ (nproc, CPU model, compiler, build type) are not
-compared: the stamps are reported instead. Exit status: 0 no regression, 1 regression, 2 the two sets
-cannot be compared.
+compared: the stamps are reported instead, and so are invalid runs (the
+load generator fell behind; their files carry no metrics). Exit status: 0 no
+regression, 1 regression, 2 the two sets cannot be compared.
 """
 
 import glob
@@ -44,6 +45,13 @@ def machine(results):
 def compare(base, new, spec):
     """Returns (regressions, notes, stamp_problems), each a list of lines."""
     stamp_problems = []
+    for side, results in (("base", base), ("new", new)):
+        for r in results:
+            if r.get("invalid"):
+                stamp_problems.append("%s has an invalid run (%s seed %s): %s" %
+                                      (side, r["workload"], r["seed"], "; ".join(r["invalid"])))
+    if stamp_problems:
+        return [], [], stamp_problems
     base_machine, new_machine = machine(base), machine(new)
     for side, stamps in (("base", base_machine), ("new", new_machine)):
         if len(stamps) > 1:

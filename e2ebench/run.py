@@ -23,7 +23,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("explore", "new_query", "ingest")
+WORKLOADS = ("explore", "new_query", "exact_query", "ingest")
 RUN_TIMEOUT_S = 150
 
 
@@ -110,6 +110,11 @@ def main():
         log("e2ebench: e2ebench_driver failed (exit %d)" % proc.returncode)
         return 1
     raw = json.loads(stdout.strip().splitlines()[-1])
+    if raw["invalid"]:
+        # The latencies of a run whose load generator fell behind (or that
+        # was too short to read its memory peak) mean nothing: none are
+        # printed or stored, and compare.py refuses the result file.
+        raw["metrics"] = {}
 
     attempted, failed = raw["attempted"], raw["failed"]
     result = {
@@ -138,7 +143,6 @@ def main():
         print("  problem: " + problem)
     print("result file: " + os.path.relpath(stem + ".json", root))
     if raw["invalid"]:
-        # Latencies of a run whose generator fell behind are not reported.
         for why in raw["invalid"]:
             log("e2ebench: invalid run: " + why)
         return 3

@@ -53,7 +53,7 @@ struct AttrSet {
   int max_threshold;
 };
 const std::vector<AttrSet>& NewQueryAttrSets() {
-  // Every 4th set (index % 4 == 3) is queried kApproxFirst; those have few
+  // In new_query, every 4th set (index % 4 == 3) is queried kApproxFirst; those have few
   // enough groups (360-1470) that the 4096-row sample still holds most of
   // them, so their approximate answers serve every L up to 32.
   static const std::vector<AttrSet> sets = {
@@ -180,10 +180,10 @@ std::vector<Request> SessionRequests(const std::vector<QuerySpec>& queries,
 
 // Never-seen aggregate queries: each round of sixteen statements uses every
 // attribute set once, in a seeded order, with a seeded aggregate
-// (avg/sum/count) and filter threshold. Every 4th set is queried
-// kApproxFirst, so a quarter of the statements are, and the exact ones are
-// the same mix in every round.
-Plan NewQueryPlan(uint64_t seed) {
+// (avg/sum/count) and filter threshold. With `approx_first`, every 4th set
+// is queried kApproxFirst, so a quarter of the statements are, and the exact
+// ones are the same mix in every round; without, every statement is exact.
+Plan NewQueryPlan(uint64_t seed, bool approx_first) {
   Plan plan;
   Rng rng(seed);
   qagview::study::TrajectoryOptions topts;
@@ -209,7 +209,7 @@ Plan NewQueryPlan(uint64_t seed) {
                              threshold == 0 ? "" : std::string(set.filter_column) + " > " +
                                                        std::to_string(threshold));
     if (!seen.insert(q.sql).second) continue;  // redraw: statements are never repeated
-    if (order.back() % 4 == 3) q.mode = service::QueryMode::kApproxFirst;
+    if (approx_first && order.back() % 4 == 3) q.mode = service::QueryMode::kApproxFirst;
     order.pop_back();
     plan.queries.push_back(q);
 
@@ -242,7 +242,8 @@ bool FileExists(const std::string& path) {
 }  // namespace
 
 Result<Plan> MakePlan(const std::string& workload, uint64_t seed) {
-  if (workload == "new_query") return NewQueryPlan(seed);
+  if (workload == "new_query") return NewQueryPlan(seed, /*approx_first=*/true);
+  if (workload == "exact_query") return NewQueryPlan(seed, /*approx_first=*/false);
   Plan plan;
   if (workload == "explore") {
     plan.queries = RatingsHandles();

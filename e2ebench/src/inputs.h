@@ -21,8 +21,8 @@ using qagview::Status;
 
 /// Rows of the two datasets the server loads with --dataset.
 inline constexpr int kDatasetRows = 100000;
-/// Statements per new_query round: each round queries every attribute set
-/// once.
+/// Statements per new_query / exact_query round: each round queries every
+/// attribute set once.
 inline constexpr int kNewQueryRound = 16;
 /// Rows per POST /append_rows batch, and batches generated per seed.
 inline constexpr int kBatchRows = 200;
@@ -56,12 +56,13 @@ struct Plan {
   /// Queries opened during set-up (explore, ingest), in this order.
   std::vector<int> opened;
   /// explore, ingest: the read requests, replayed in order (cyclically).
-  /// new_query: one cycle per query: kQuery, then kExplore (the first
+  /// new_query, exact_query: one cycle per query: kQuery, then kExplore (the first
   /// view), then kGuidance over the whole interactive range (L = 32).
   std::vector<Request> pool;
 };
 
-/// The request plan of `workload` ("explore", "new_query", "ingest").
+/// The request plan of `workload` ("explore", "new_query", "exact_query",
+/// "ingest"). exact_query is new_query with every statement kExactOnly.
 Result<Plan> MakePlan(const std::string& workload, uint64_t seed);
 
 /// Every distinct (query, L) a pool reads at, as Guidance requests: the

@@ -42,13 +42,16 @@ constexpr int kSetups = 3;
 constexpr double kExploreRate = 400.0;
 constexpr double kIngestReadRate = 16.0;
 constexpr double kIngestAppendRate = 4.0;
+/// Reference timings taken before and after an open-loop phase.
+constexpr int kReferenceBurst = 25;
 /// Share of an explore run spent in the open-loop phase; the rest is the
 /// closed-loop saturation phase.
 constexpr double kExploreOpenShare = 0.6;
 /// Connections of the closed-loop saturation phase: half the cores, so the
 /// load generator leaves the server most of the machine.
 constexpr int kSaturationClients = 2;
-/// new_query rounds after which the server's memory peak is read.
+/// new_query / exact_query rounds after which the server's memory peak is
+/// read.
 constexpr int kNewQueryRssRounds = 6;
 /// The fixed request counts the traced replay runs.
 constexpr int kTraceExploreRequests = 600;
@@ -85,6 +88,68 @@ double Percentile(std::vector<double> v, double p) {
   return v[lo] + (rank - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
+// --- Machine speed --------------------------------------------------------
+//
+// On a shared VM the speed of the cores drifts by tens of percent within
+// minutes (and a VM may get less CPU than it has cores once it has used its
+// share), so raw latencies of two runs of the same code can differ by more
+// than any useful bound. The gated latencies are therefore divided by the
+// median of reference timings taken in the same run while the server is
+// idle.
+
+/// A fixed piece of CPU and memory work that calls no repository code:
+/// counting 2^16 seeded keys in an open-addressing hash table, then sorting
+/// them, the kind of work a GROUP BY does, on every core at once (the
+/// server's universe and grid builds use every core, so a slow core slows
+/// them). Its buffers are allocated once, so only the machine's speed, not
+/// the allocator's state, moves it. Returns the wall time in ms.
+double ReferenceMs() {
+  constexpr size_t kKeys = size_t{1} << 16;
+  constexpr size_t kSlots = size_t{1} << 16;  // 20000 distinct keys
+  struct Buffers {
+    std::vector<uint64_t> keys = std::vector<uint64_t>(kKeys);
+    std::vector<uint64_t> slots = std::vector<uint64_t>(kSlots);
+    std::vector<uint64_t> counts = std::vector<uint64_t>(kSlots);
+    std::vector<uint64_t> sorted = std::vector<uint64_t>(kKeys);
+  };
+  static std::vector<Buffers> buffers = [] {
+    std::vector<Buffers> b(static_cast<size_t>(Nproc()));
+    uint64_t x = 88172645463325252ULL;  // xorshift64
+    for (uint64_t& v : b[0].keys) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      v = 1 + x % 20000;  // 0 marks an empty slot
+    }
+    for (Buffers& each : b) each.keys = b[0].keys;
+    return b;
+  }();
+  auto kernel = [](Buffers* b) {
+    std::fill(b->slots.begin(), b->slots.end(), 0);
+    std::fill(b->counts.begin(), b->counts.end(), 0);
+    for (uint64_t k : b->keys) {
+      size_t h = static_cast<size_t>((k * 0x9E3779B97F4A7C15ULL) >> 48);
+      while (b->slots[h] != 0 && b->slots[h] != k) h = (h + 1) & (kSlots - 1);
+      b->slots[h] = k;
+      ++b->counts[h];
+    }
+    std::copy(b->keys.begin(), b->keys.end(), b->sorted.begin());
+    std::sort(b->sorted.begin(), b->sorted.end());
+  };
+  const double start = NowMs();
+  std::vector<std::thread> threads;
+  for (Buffers& b : buffers) threads.emplace_back(kernel, &b);
+  for (std::thread& t : threads) t.join();
+  return NowMs() - start;
+}
+
+/// Runs ReferenceMs() `n` times, appending each timing to `refs`. Open-loop
+/// workloads call it before and after their timed phase, while the server
+/// is idle, so the reference never competes with the requests it scales.
+void ReferenceBurst(int n, std::vector<double>* refs) {
+  for (int i = 0; i < n; ++i) refs->push_back(ReferenceMs());
+}
+
 /// The results of one run, as printed.
 class Report {
  public:
@@ -107,16 +172,21 @@ class Report {
       if (static_cast<double>(n) * (1.0 - tail / 100.0) < 10.0) unsupported_.insert(key);
     }
   }
-  /// The gated pair `name.p50` and `name.tail`, where the tail is the
-  /// percentile the workload has enough samples for (see README.md).
-  void Gate(const std::string& name, const std::vector<double>& latencies, int tail) {
-    const int64_t n = static_cast<int64_t>(latencies.size());
-    Metric(name + ".p50", Percentile(latencies, 0.5), "ms", n);
-    double sum = 0.0;
-    for (double v : latencies) sum += v;
-    Metric(name + ".mean", n > 0 ? sum / static_cast<double>(n) : 0.0, "ms", n);
-    Metric(name + ".tail", Percentile(latencies, tail / 100.0), "ms", n);
-    if (static_cast<double>(n) * (1.0 - tail / 100.0) < 10.0) unsupported_.insert(name + ".tail");
+  /// The gated pair `primary_rel.p50` and `primary_rel.tail`: the
+  /// workload's primary latencies divided by the median of the run's
+  /// reference timings. The tail is the percentile the workload has enough
+  /// samples for (see README.md).
+  void Gate(const std::vector<double>& latencies, const std::vector<double>& refs, int tail) {
+    const double ref = Median(refs);
+    std::vector<double> rel;
+    for (double ms : latencies) rel.push_back(ms / ref);
+    const int64_t n = static_cast<int64_t>(rel.size());
+    Metric("reference_ms", ref, "ms", static_cast<int64_t>(refs.size()));
+    Metric("primary_rel.p50", Percentile(rel, 0.5), "x_ref", n);
+    Metric("primary_rel.tail", Percentile(rel, tail / 100.0), "x_ref", n);
+    if (static_cast<double>(n) * (1.0 - tail / 100.0) < 10.0) {
+      unsupported_.insert("primary_rel.tail");
+    }
   }
   void Fail(const std::string& problem) {
     ++failed_;
@@ -411,7 +481,10 @@ Result<LoadRun> RunExplore(Workload* w, Report* report) {
   const double open_s = w->opt.seconds * kExploreOpenShare;
   std::vector<double> due;
   for (int i = 0; i < static_cast<int>(open_s * kExploreRate); ++i) due.push_back(i * 1e3 / kExploreRate);
+  std::vector<double> refs;
+  ReferenceBurst(kReferenceBurst, &refs);
   std::vector<Sample> open = RunOpenLoop(port, Nproc(), due, make(0));
+  ReferenceBurst(kReferenceBurst, &refs);
   const int offset = static_cast<int>(due.size());
   const double closed_s = w->opt.seconds - open_s;
   std::vector<Sample> closed = RunClosedLoop(port, kSaturationClients, closed_s, make(offset));
@@ -426,8 +499,7 @@ Result<LoadRun> RunExplore(Workload* w, Report* report) {
   for (double ms : saturated) within += ms <= kLimitMs;
   report->Metric("capacity_rps", static_cast<double>(within) / closed_s, "req/s",
                  static_cast<int64_t>(closed.size()));
-  report->Gate("primary_ms", interact, 90);
-  report->Gate("secondary_ms", saturated, 90);
+  report->Gate(interact, refs, 90);
 
   const double lateness = LatenessP99(open);
   std::vector<Sample> timed = open;
@@ -449,9 +521,13 @@ Result<LoadRun> RunNewQuery(Workload* w, Report* report) {
   // One analyst: query, first view, grid, next query.
   std::vector<Sample> samples;  // three per cycle, in plan order
   // Every statement opens a session the server keeps, so the memory peak
-  // is taken after a fixed number of rounds (or at the end, if fewer ran).
+  // is taken after a fixed number of rounds; a run too short for them is
+  // invalid.
   double rss = 0.0;
   const double start = NowMs();
+  // The server is idle between cycles (no background work in exact mode),
+  // so the reference timings run there.
+  std::vector<double> refs;
   size_t next = 0;
   while (NowMs() - start < w->opt.seconds * 1e3 && next + 3 <= w->plan.pool.size()) {
     for (int step = 0; step < 3; ++step, ++next) {
@@ -464,10 +540,15 @@ Result<LoadRun> RunNewQuery(Workload* w, Report* report) {
       if (r.kind == OpKind::kQuery) handles[static_cast<size_t>(r.query)] = s.handle;
       samples.push_back(std::move(s));
     }
+    refs.push_back(ReferenceMs());
     if (next == 3 * kNewQueryRound * kNewQueryRssRounds) rss = setup.server->PeakRssMb();
   }
   const double elapsed_s = (NowMs() - start) / 1e3;
   report->Count(samples, "new query");
+  if (rss == 0.0) {
+    report->Invalidate("fewer than " + std::to_string(kNewQueryRssRounds) +
+                       " rounds finished, so rss_peak_mb was not read");
+  }
   // Latencies come from complete rounds only, so every run weighs the
   // attribute sets alike.
   const size_t round = 3 * kNewQueryRound;
@@ -484,10 +565,9 @@ Result<LoadRun> RunNewQuery(Workload* w, Report* report) {
     if (grid.ok()) guidance.push_back(grid.latency_ms());
   }
   report->Latency("first_view_ms", first_view, {90});
-  report->Latency("approx_view_ms", approx_view, {});
+  if (w->opt.workload == "new_query") report->Latency("approx_view_ms", approx_view, {});
   report->Latency("guidance_ms", guidance, {90});
-  report->Gate("primary_ms", first_view, 90);
-  report->Gate("secondary_ms", guidance, 90);
+  report->Gate(first_view, refs, 90);
   report->Metric("views_per_s", static_cast<double>(first_view.size() + approx_view.size()) /
                                     elapsed_s,
                  "views/s", samples.size() / 3);
@@ -524,10 +604,12 @@ Result<LoadRun> RunNewQuery(Workload* w, Report* report) {
         const Result<uint64_t>& claimed = s.exact ? cold : estimate;
         const Result<uint64_t>& other = s.exact ? estimate : cold;
         if (s.ok() && claimed.ok() && other.ok() && *claimed != s.digest && *other == s.digest) {
-          // The answer is the serial replay's answer of the other phase: a
-          // refinement landed between serving and stamping the provenance.
-          // Counted and reported on its own, not as a wrong answer.
+          // The answer is the other phase's: the response misstates which
+          // phase served it. A failed operation like any other mismatch,
+          // also counted on its own so the cause shows.
           ++w->provenance_mismatches;
+          report->Fail(std::string("answer of the ") + (s.exact ? "approximate" : "exact") +
+                       " phase labelled " + (s.exact ? "exact" : "approximate") + ": " + what);
         } else {
           oracle.Check(s, claimed, what);
         }
@@ -559,6 +641,8 @@ Result<LoadRun> RunIngest(Workload* w, Report* report) {
     return qagview::Status::InvalidArgument("run too long for the generated append batches");
   }
   std::vector<Sample> reads, appends;
+  std::vector<double> refs;
+  ReferenceBurst(kReferenceBurst, &refs);
   std::thread appender([&] {
     appends = RunOpenLoop(port, 1, append_due, [&](int i) {
       return std::make_pair(OpKind::kAppend, w->batches[static_cast<size_t>(i)]);
@@ -569,6 +653,7 @@ Result<LoadRun> RunIngest(Workload* w, Report* report) {
     return std::make_pair(r.kind, RequestBody(r, w->plan.queries, setup.handles, w->batches));
   });
   appender.join();
+  ReferenceBurst(kReferenceBurst, &refs);
   report->Count(reads, "read");
   report->Count(appends, "append");
 
@@ -584,8 +669,7 @@ Result<LoadRun> RunIngest(Workload* w, Report* report) {
   for (const auto* phase : {&reads, &appends}) {
     for (const Sample& s : *phase) within += s.ok() && s.latency_ms() <= kLimitMs;
   }
-  report->Gate("primary_ms", stale, 90);
-  report->Gate("secondary_ms", append_ms, 75);
+  report->Gate(stale, refs, 90);
   report->Metric("within_limit_rps", static_cast<double>(within) / w->opt.seconds, "req/s",
                  reads.size() + appends.size());
 
@@ -651,7 +735,7 @@ std::vector<std::pair<Request, bool>> TraceRequests(const Workload& w) {
     const std::vector<Request> head(w.pool.begin(), w.pool.begin() + static_cast<std::ptrdiff_t>(n));
     for (const Request& r : WarmupRequests(head)) out.emplace_back(r, true);
     for (const Request& r : head) out.emplace_back(r, false);
-  } else if (w.opt.workload == "new_query") {
+  } else if (w.opt.workload == "new_query" || w.opt.workload == "exact_query") {
     for (size_t i = 0; i < 3 * kTraceNewQueryCycles && i < w.plan.pool.size(); ++i) {
       out.emplace_back(w.plan.pool[i], false);
     }
@@ -750,8 +834,15 @@ qagview::Status RunTraced(Workload* w, const LoadRun& load, Report* report) {
     report->Metric(metric, value, unit, n);
   };
   span_metric("storage.csv_read_ms", "storage.csv_read", true);
-  span_metric("storage.sample_build_ms", "storage.sample_build", true);
   span_metric("catalog.register_ms", "catalog.register", true);
+  span_metric("catalog.register_nosample_ms", "catalog.register_nosample", true);
+  {
+    // The sample build is part of catalog.register, not a span of its own:
+    // its cost is the registration minus the sample-less twin's.
+    auto [with, n] = mean(setup_times, "catalog.register", 1.0);
+    auto [without, m] = mean(setup_times, "catalog.register_nosample", 1.0);
+    report->Metric("storage.sample_build_ms", with - without, "ms", std::min(n, m));
+  }
   span_metric("catalog.append_ms", "catalog.append", false);
   span_metric("catalog.append_nosample_ms", "catalog.append_nosample", false);
   const LayerCounts& c = layers.counts();
@@ -838,7 +929,9 @@ qagview::Status Run(const Options& opt, Report* report) {
   QAG_ASSIGN_OR_RETURN(w.batches, LoadAppendBodies(opt.inputs));
   Result<LoadRun> load = qagview::Status::Internal("no workload");
   if (opt.workload == "explore") load = RunExplore(&w, report);
-  if (opt.workload == "new_query") load = RunNewQuery(&w, report);
+  if (opt.workload == "new_query" || opt.workload == "exact_query") {
+    load = RunNewQuery(&w, report);
+  }
   if (opt.workload == "ingest") load = RunIngest(&w, report);
   QAG_RETURN_IF_ERROR(load.status());
   report->Metric("service.provenance_mismatches", static_cast<double>(w.provenance_mismatches),
@@ -850,8 +943,8 @@ qagview::Status Run(const Options& opt, Report* report) {
 int Usage() {
   std::fprintf(stderr,
                "usage: e2ebench_driver gen --seed N --inputs DIR\n"
-               "       e2ebench_driver run --workload explore|new_query|ingest --seed N\n"
-               "           --seconds S --trace 0|1 --inputs DIR --server BIN\n"
+               "       e2ebench_driver run --workload explore|new_query|exact_query|ingest\n"
+               "           --seed N --seconds S --trace 0|1 --inputs DIR --server BIN\n"
                "           [--trace-file FILE]\n");
   return 2;
 }

@@ -106,8 +106,9 @@ class LayerReplay {
  public:
   explicit LayerReplay(Tracer* tracer);
 
-  /// storage.csv_read, storage.sample_build (a stand-alone ReservoirSampler
-  /// over the same table) and catalog.register, per dataset.
+  /// storage.csv_read, catalog.register (which builds the sample) and
+  /// catalog.register_nosample (the same table on the sample-less twin),
+  /// per dataset.
   qagview::Status Load(const std::string& input_dir);
 
   /// Replays one request. For summarize/explore/retrieve, returns the
@@ -134,7 +135,8 @@ class LayerReplay {
 
   Tracer* const tracer_;
   qagview::service::DatasetCatalog catalog_;
-  /// Twin without samples: what an append costs when nothing is sampled.
+  /// Twin without samples: what a registration or an append costs when
+  /// nothing is sampled.
   qagview::service::DatasetCatalog catalog_nosample_;
   std::map<int, Handle> handles_;
   int pending_refine_ = -1;

@@ -21,7 +21,7 @@ def result(workload, seed, spec, scale=1.0):
     return {"workload": workload, "seed": seed, "trace": 0, "seconds": 10,
             "stamp": {"nproc": 4, "cpu_model": "cpu", "compiler": "GNU 12", "build_type": "Release",
                       "git_describe": "abc", "seed": seed},
-            "attempted": 1000, "failed": 0, "error_rate": 0.0, "metrics": metrics}
+            "attempted": 1000, "failed": 0, "error_rate": 0.0, "invalid": [], "metrics": metrics}
 
 
 class CompareTest(unittest.TestCase):
@@ -51,7 +51,7 @@ class CompareTest(unittest.TestCase):
     def test_2x_better_is_not_flagged(self):
         new = copy.deepcopy(self.base)
         for r in new:
-            r["metrics"]["primary_ms.p50"]["value"] /= 2.0
+            r["metrics"]["primary_rel.p50"]["value"] /= 2.0
         regressions, _, _ = compare.compare(self.base, new, self.spec)
         self.assertEqual(regressions, [])
 
@@ -67,11 +67,20 @@ class CompareTest(unittest.TestCase):
         new = copy.deepcopy(self.base)
         for r in new:
             r["stamp"]["nproc"] = 8
-            r["metrics"]["primary_ms.p50"]["value"] *= 2.0
+            r["metrics"]["primary_rel.p50"]["value"] *= 2.0
         regressions, _, stamps = compare.compare(self.base, new, self.spec)
         self.assertEqual(regressions, [])
         self.assertEqual(len(stamps), 1)
         self.assertIn("stamps differ", stamps[0])
+
+    def test_invalid_runs_are_reported_not_compared(self):
+        new = copy.deepcopy(self.base)
+        new[0]["invalid"] = ["the load generator fell behind: lateness p99 150 ms"]
+        new[0]["metrics"] = {}
+        regressions, _, problems = compare.compare(self.base, new, self.spec)
+        self.assertEqual(regressions, [])
+        self.assertEqual(len(problems), 1)
+        self.assertIn("invalid run", problems[0])
 
     def test_main_reads_result_directories(self):
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
@@ -83,6 +92,12 @@ class CompareTest(unittest.TestCase):
                         json.dump(r, f)
             self.assertEqual(compare.main(["compare.py", a, a]), 0)
             self.assertEqual(compare.main(["compare.py", a, b]), 1)
+            with open(os.path.join(b, "0.json")) as f:
+                r = json.load(f)
+            r["invalid"], r["metrics"] = ["lateness p99 150 ms"], {}
+            with open(os.path.join(b, "0.json"), "w") as f:
+                json.dump(r, f)
+            self.assertEqual(compare.main(["compare.py", a, b]), 2)
 
 
 if __name__ == "__main__":
