@@ -42,8 +42,16 @@ constexpr int kSetups = 3;
 constexpr double kExploreRate = 400.0;
 constexpr double kIngestReadRate = 16.0;
 constexpr double kIngestAppendRate = 4.0;
-/// Reference timings taken before and after an open-loop phase.
+/// Reference timings explore takes before and after its open-loop phase.
 constexpr int kReferenceBurst = 25;
+/// ingest runs its schedule in slices of this length. Between two slices the
+/// server is idle and the reference kernel runs kSliceReferences times, so
+/// each stale read is scaled by the machine's speed at its own moment. It
+/// runs on one core there: after a second of light load the VM's idle cores
+/// are slow to wake, and an all-core kernel measured that (25 ms between
+/// slices, 7 ms inside exact_query's busy loop) rather than compute speed.
+constexpr double kIngestSliceMs = 1000.0;
+constexpr int kSliceReferences = 2;
 /// Share of an explore run spent in the open-loop phase; the rest is the
 /// closed-loop saturation phase.
 constexpr double kExploreOpenShare = 0.6;
@@ -99,11 +107,12 @@ double Percentile(std::vector<double> v, double p) {
 
 /// A fixed piece of CPU and memory work that calls no repository code:
 /// counting 2^16 seeded keys in an open-addressing hash table, then sorting
-/// them, the kind of work a GROUP BY does, on every core at once (the
-/// server's universe and grid builds use every core, so a slow core slows
-/// them). Its buffers are allocated once, so only the machine's speed, not
-/// the allocator's state, moves it. Returns the wall time in ms.
-double ReferenceMs() {
+/// them, the kind of work a GROUP BY does. With `all_cores` it runs on every
+/// core at once (the server's universe and grid builds use every core, so a
+/// slow core slows them); otherwise once, on the calling thread. Its buffers
+/// are allocated once, so only the machine's speed, not the allocator's
+/// state, moves it. Returns the wall time in ms.
+double ReferenceMs(bool all_cores) {
   constexpr size_t kKeys = size_t{1} << 16;
   constexpr size_t kSlots = size_t{1} << 16;  // 20000 distinct keys
   struct Buffers {
@@ -137,17 +146,21 @@ double ReferenceMs() {
     std::sort(b->sorted.begin(), b->sorted.end());
   };
   const double start = NowMs();
+  if (!all_cores) {
+    kernel(&buffers[0]);
+    return NowMs() - start;
+  }
   std::vector<std::thread> threads;
   for (Buffers& b : buffers) threads.emplace_back(kernel, &b);
   for (std::thread& t : threads) t.join();
   return NowMs() - start;
 }
 
-/// Runs ReferenceMs() `n` times, appending each timing to `refs`. Open-loop
-/// workloads call it before and after their timed phase, while the server
-/// is idle, so the reference never competes with the requests it scales.
-void ReferenceBurst(int n, std::vector<double>* refs) {
-  for (int i = 0; i < n; ++i) refs->push_back(ReferenceMs());
+/// Runs ReferenceMs(all_cores) `n` times, appending each timing to `refs`.
+/// It only runs while the server is idle, so the reference never competes
+/// with the requests it scales.
+void ReferenceBurst(int n, bool all_cores, std::vector<double>* refs) {
+  for (int i = 0; i < n; ++i) refs->push_back(ReferenceMs(all_cores));
 }
 
 /// The results of one run, as printed.
@@ -180,8 +193,13 @@ class Report {
     const double ref = Median(refs);
     std::vector<double> rel;
     for (double ms : latencies) rel.push_back(ms / ref);
+    GateRelative(rel, refs, tail);
+  }
+  /// The same, for latencies already divided by the reference time of
+  /// their own moment (`rel`); `refs` are all the run's reference timings.
+  void GateRelative(const std::vector<double>& rel, const std::vector<double>& refs, int tail) {
     const int64_t n = static_cast<int64_t>(rel.size());
-    Metric("reference_ms", ref, "ms", static_cast<int64_t>(refs.size()));
+    Metric("reference_ms", Median(refs), "ms", static_cast<int64_t>(refs.size()));
     Metric("primary_rel.p50", Percentile(rel, 0.5), "x_ref", n);
     Metric("primary_rel.tail", Percentile(rel, tail / 100.0), "x_ref", n);
     if (static_cast<double>(n) * (1.0 - tail / 100.0) < 10.0) {
@@ -482,9 +500,9 @@ Result<LoadRun> RunExplore(Workload* w, Report* report) {
   std::vector<double> due;
   for (int i = 0; i < static_cast<int>(open_s * kExploreRate); ++i) due.push_back(i * 1e3 / kExploreRate);
   std::vector<double> refs;
-  ReferenceBurst(kReferenceBurst, &refs);
+  ReferenceBurst(kReferenceBurst, true, &refs);
   std::vector<Sample> open = RunOpenLoop(port, Nproc(), due, make(0));
-  ReferenceBurst(kReferenceBurst, &refs);
+  ReferenceBurst(kReferenceBurst, true, &refs);
   const int offset = static_cast<int>(due.size());
   const double closed_s = w->opt.seconds - open_s;
   std::vector<Sample> closed = RunClosedLoop(port, kSaturationClients, closed_s, make(offset));
@@ -540,7 +558,7 @@ Result<LoadRun> RunNewQuery(Workload* w, Report* report) {
       if (r.kind == OpKind::kQuery) handles[static_cast<size_t>(r.query)] = s.handle;
       samples.push_back(std::move(s));
     }
-    refs.push_back(ReferenceMs());
+    refs.push_back(ReferenceMs(true));
     if (next == 3 * kNewQueryRound * kNewQueryRssRounds) rss = setup.server->PeakRssMb();
   }
   const double elapsed_s = (NowMs() - start) / 1e3;
@@ -640,26 +658,65 @@ Result<LoadRun> RunIngest(Workload* w, Report* report) {
   if (append_due.size() > w->batches.size()) {
     return qagview::Status::InvalidArgument("run too long for the generated append batches");
   }
+  // The open-loop schedule runs slice by slice; the reference timings at
+  // slice k's two ends (refs[k * kSliceReferences ...], kSliceReferences
+  // each) scale the stale reads of slice k.
   std::vector<Sample> reads, appends;
   std::vector<double> refs;
-  ReferenceBurst(kReferenceBurst, &refs);
-  std::thread appender([&] {
-    appends = RunOpenLoop(port, 1, append_due, [&](int i) {
-      return std::make_pair(OpKind::kAppend, w->batches[static_cast<size_t>(i)]);
+  std::vector<size_t> read_slice;  // the slice of each read
+  ReferenceBurst(kSliceReferences, false, &refs);
+  size_t next_read = 0, next_append = 0;
+  for (size_t slice = 0; slice * kIngestSliceMs < ms; ++slice) {
+    const double slice_start = static_cast<double>(slice) * kIngestSliceMs;
+    auto take = [&](const std::vector<double>& all, size_t* next) {
+      std::vector<double> due;
+      for (; *next < all.size() && all[*next] < slice_start + kIngestSliceMs; ++*next) {
+        due.push_back(all[*next] - slice_start);
+      }
+      return due;
+    };
+    const size_t first_read = next_read, first_append = next_append;
+    const std::vector<double> slice_reads = take(read_due, &next_read);
+    const std::vector<double> slice_appends = take(append_due, &next_append);
+    std::vector<Sample> new_appends;
+    std::thread appender([&] {
+      new_appends = RunOpenLoop(port, 1, slice_appends, [&](int i) {
+        return std::make_pair(OpKind::kAppend,
+                              w->batches[first_append + static_cast<size_t>(i)]);
+      });
     });
-  });
-  reads = RunOpenLoop(port, std::max(1, Nproc() - 1), read_due, [&](int i) {
-    const Request& r = w->plan.pool[static_cast<size_t>(i) % w->plan.pool.size()];
-    return std::make_pair(r.kind, RequestBody(r, w->plan.queries, setup.handles, w->batches));
-  });
-  appender.join();
-  ReferenceBurst(kReferenceBurst, &refs);
+    std::vector<Sample> new_reads =
+        RunOpenLoop(port, std::max(1, Nproc() - 1), slice_reads, [&](int i) {
+          const Request& r =
+              w->plan.pool[(first_read + static_cast<size_t>(i)) % w->plan.pool.size()];
+          return std::make_pair(r.kind,
+                                RequestBody(r, w->plan.queries, setup.handles, w->batches));
+        });
+    appender.join();
+    ReferenceBurst(kSliceReferences, false, &refs);
+    for (Sample& s : new_appends) {
+      s.index += static_cast<int>(first_append);
+      appends.push_back(std::move(s));
+    }
+    for (Sample& s : new_reads) {
+      s.index += static_cast<int>(first_read);
+      reads.push_back(std::move(s));
+      read_slice.push_back(slice);
+    }
+  }
   report->Count(reads, "read");
   report->Count(appends, "append");
 
-  std::vector<double> stale, fresh;
-  for (const Sample& s : reads) {
-    if (s.ok()) (s.refreshed ? stale : fresh).push_back(s.latency_ms());
+  std::vector<double> stale, fresh, stale_rel;
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const Sample& s = reads[i];
+    if (!s.ok()) continue;
+    (s.refreshed ? stale : fresh).push_back(s.latency_ms());
+    if (s.refreshed) {
+      const auto ends =
+          refs.begin() + static_cast<std::ptrdiff_t>(read_slice[i] * kSliceReferences);
+      stale_rel.push_back(s.latency_ms() / Median({ends, ends + 2 * kSliceReferences}));
+    }
   }
   const std::vector<double> append_ms = Latencies(appends);
   report->Latency("stale_read_ms", stale, {75, 90});
@@ -669,7 +726,7 @@ Result<LoadRun> RunIngest(Workload* w, Report* report) {
   for (const auto* phase : {&reads, &appends}) {
     for (const Sample& s : *phase) within += s.ok() && s.latency_ms() <= kLimitMs;
   }
-  report->Gate(stale, refs, 90);
+  report->GateRelative(stale_rel, refs, 90);
   report->Metric("within_limit_rps", static_cast<double>(within) / w->opt.seconds, "req/s",
                  reads.size() + appends.size());
 
