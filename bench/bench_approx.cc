@@ -113,13 +113,13 @@ int main() {
       service::QueryService svc(Sampled());
       QAG_CHECK_OK(svc.RegisterTable("ratings", table.Clone()));
       WallTimer cold_timer;
-      auto info = svc.Query(kSql, "val", approx_only);
+      auto info = svc.Query({kSql, "val", approx_only});
       approx_times.push_back(cold_timer.ElapsedMillis());
       QAG_CHECK(info.ok()) << info.status().ToString();
-      QAG_CHECK(!info->is_exact) << "approximate query served exact";
-      QAG_CHECK(info->max_bound > 0.0);
+      QAG_CHECK(!info->approx.is_exact) << "approximate query served exact";
+      QAG_CHECK(info->approx.max_bound > 0.0);
       WallTimer refine_timer;
-      QAG_CHECK_OK(svc.Refine(info->handle));
+      QAG_CHECK_OK(svc.Refine({info->handle}).status());
       refine_times.push_back(refine_timer.ElapsedMillis());
       auto answers = svc.Answers(info->handle);
       QAG_CHECK(answers.ok()) << answers.status().ToString();
@@ -133,10 +133,10 @@ int main() {
       service::QueryService svc;
       QAG_CHECK_OK(svc.RegisterTable("ratings", table.Clone()));
       WallTimer cold_timer;
-      auto info = svc.Query(kSql, "val");
+      auto info = svc.Query({kSql, "val"});
       exact_times.push_back(cold_timer.ElapsedMillis());
       QAG_CHECK(info.ok()) << info.status().ToString();
-      QAG_CHECK(info->is_exact);
+      QAG_CHECK(info->approx.is_exact);
       auto answers = svc.Answers(info->handle);
       QAG_CHECK(answers.ok()) << answers.status().ToString();
       exact_fp = (*answers)->content_fingerprint();
@@ -157,10 +157,11 @@ int main() {
       service::QueryOptions approx_first;
       approx_first.mode = service::QueryMode::kApproxFirst;
       approx_first.confidence = kConfidence;
-      auto info = svc.Query(kSql, "val", approx_first);
+      auto info = svc.Query({kSql, "val", approx_first});
       QAG_CHECK(info.ok()) << info.status().ToString();
-      QAG_CHECK(!info->is_exact) << "approx-first cold query served exact";
-      QAG_CHECK_OK(svc.Refine(info->handle));
+      QAG_CHECK(!info->approx.is_exact)
+          << "approx-first cold query served exact";
+      QAG_CHECK_OK(svc.Refine({info->handle}).status());
       auto answers = svc.Answers(info->handle);
       QAG_CHECK(answers.ok()) << answers.status().ToString();
       QAG_CHECK((*answers)->content_fingerprint() == exact_fp)
@@ -222,10 +223,11 @@ int main() {
       times.reserve(static_cast<size_t>(cycles));
       uint64_t cycle = 0;
       for (int c = 0; c < cycles; ++c) {
-        auto batch = testutil::MakeRandomRows(
-            spec, seed ^ (0xBBBBu + ++cycle), batch_rows);
+        service::AppendRowsRequest append{
+            "ratings", testutil::MakeRandomRows(
+                           spec, seed ^ (0xBBBBu + ++cycle), batch_rows)};
         WallTimer timer;
-        QAG_CHECK_OK(svc.AppendRows("ratings", batch).status());
+        QAG_CHECK_OK(svc.AppendRows(append).status());
         times.push_back(timer.ElapsedMillis());
       }
       benchutil::TimingStats stats = Stats(times);

@@ -62,14 +62,14 @@ core::PrecomputeOptions Grid(const Workload& w) {
 /// summarize average as the bit-identity footprint.
 double Pipeline(service::QueryService& svc, const Workload& w,
                 const std::string& sql) {
-  auto info = svc.Query(sql, "val");
+  auto info = svc.Query({sql, "val"});
   QAG_CHECK(info.ok()) << info.status().ToString();
   const int top_l = std::min(w.top_l, info->num_answers);
-  auto store = svc.Guidance(info->handle, top_l, Grid(w));
-  QAG_CHECK(store.ok()) << store.status().ToString();
-  auto solution = svc.Summarize(info->handle, {4, top_l, 2});
-  QAG_CHECK(solution.ok()) << solution.status().ToString();
-  return solution->average;
+  auto grid = svc.Guidance({info->handle, top_l, Grid(w)});
+  QAG_CHECK(grid.ok()) << grid.status().ToString();
+  auto summarized = svc.Summarize({info->handle, {4, top_l, 2}});
+  QAG_CHECK(summarized.ok()) << summarized.status().ToString();
+  return summarized->solution.average;
 }
 
 /// A fresh service over base(seed) + extra, fully warmed.
@@ -147,12 +147,13 @@ int main() {
     for (int r = 0; r < reps; ++r) {
       warmed.push_back(WarmService(spec, seed, w, sql, {}));
     }
+    const service::AppendRowsRequest append{"ratings", extra};
     size_t next = 0;
     double live_footprint = 0.0;
     benchutil::TimingStats incremental = benchutil::TimeStats(
         [&] {
           service::QueryService& svc = *warmed[next++];
-          QAG_CHECK_OK(svc.AppendRows("ratings", extra).status());
+          QAG_CHECK_OK(svc.AppendRows(append).status());
           live_footprint = Pipeline(svc, w, sql);
         },
         reps);
@@ -213,16 +214,15 @@ int main() {
     uint64_t cycle = 0;
     benchutil::TimingStats sustained = benchutil::TimeStats(
         [&] {
-          QAG_CHECK_OK(
-              svc->AppendRows("ratings",
-                              testutil::MakeRandomRows(
-                                  spec, seed ^ (0xBEEFu + ++cycle),
-                                  delta_rows))
-                  .status());
+          QAG_CHECK_OK(svc->AppendRows({"ratings",
+                                        testutil::MakeRandomRows(
+                                            spec, seed ^ (0xBEEFu + ++cycle),
+                                            delta_rows)})
+                           .status());
           Pipeline(*svc, w, sql);  // handles dropped on return
         },
         cycles);
-    service::QueryService::Stats stats = svc->stats();
+    service::ServiceStats stats = svc->stats();
     // Strict: with every handle dropped, nothing may remain retained —
     // the bound is live readers (+1 live generation), and readers are 0.
     QAG_CHECK(stats.graveyard_size == 0)

@@ -92,18 +92,18 @@ Footprint RunOp(service::QueryService& svc, service::QueryHandle handle,
                 const Workload& w, int op) {
   switch (op % 3) {
     case 0: {
-      auto s = svc.Summarize(handle, {4, w.top_l, 2});
+      auto s = svc.Summarize({handle, {4, w.top_l, 2}});
       QAG_CHECK(s.ok()) << s.status().ToString();
-      return {s->cluster_ids, s->average};
+      return {s->solution.cluster_ids, s->solution.average};
     }
     case 1: {
       int k = 2 + op % (w.k_max - 1);
-      auto s = svc.Retrieve(handle, w.top_l, 1 + op % 2, k);
+      auto s = svc.Retrieve({handle, w.top_l, 1 + op % 2, k});
       QAG_CHECK(s.ok()) << s.status().ToString();
-      return {s->cluster_ids, s->average};
+      return {s->solution.cluster_ids, s->solution.average};
     }
     default: {
-      auto e = svc.Explore(handle, {5, w.top_l, 1}, /*max_members=*/4);
+      auto e = svc.Explore({handle, {5, w.top_l, 1}, /*max_members=*/4});
       QAG_CHECK(e.ok()) << e.status().ToString();
       return {e->solution.cluster_ids, e->solution.average};
     }
@@ -132,7 +132,7 @@ int main() {
   // The shared service every warm section runs against; also pins the
   // answer-set size so L stays in range at every instance scale.
   auto svc = MakeService(MakeRatings(w));
-  auto info = svc->Query(sql, "val");
+  auto info = svc->Query({sql, "val"});
   QAG_CHECK(info.ok()) << info.status().ToString();
   const service::QueryHandle handle = info->handle;
   w.top_l = std::min(w.top_l, info->num_answers);
@@ -157,7 +157,7 @@ int main() {
   };
 
   benchutil::TimingStats query_cold = time_cold([&](service::QueryService& s) {
-    auto i = s.Query(sql, "val");
+    auto i = s.Query({sql, "val"});
     QAG_CHECK(i.ok()) << i.status().ToString();
   });
   json.Add("query_cold", {{"N", w.num_ratings}}, query_cold);
@@ -166,10 +166,10 @@ int main() {
 
   benchutil::TimingStats guidance_cold =
       time_cold([&](service::QueryService& s) {
-        auto i = s.Query(sql, "val");
+        auto i = s.Query({sql, "val"});
         QAG_CHECK(i.ok());
-        auto store = s.Guidance(i->handle, w.top_l, Grid(w));
-        QAG_CHECK(store.ok()) << store.status().ToString();
+        auto grid = s.Guidance({i->handle, w.top_l, Grid(w)});
+        QAG_CHECK(grid.ok()) << grid.status().ToString();
       });
   json.Add("guidance_cold",
            {{"N", w.num_ratings}, {"L", w.top_l}, {"k_max", w.k_max}},
@@ -178,7 +178,7 @@ int main() {
               "guidance (cold)", guidance_cold.median_ms);
 
   // Warm the shared service once; every op below serves from cache.
-  QAG_CHECK_OK(svc->Guidance(handle, w.top_l, Grid(w)).status());
+  QAG_CHECK_OK(svc->Guidance({handle, w.top_l, Grid(w)}).status());
   const struct {
     const char* name;
     int op;
@@ -276,7 +276,7 @@ int main() {
   }
   std::printf("bit-identity: concurrent results match the serial run\n");
 
-  service::QueryService::Stats stats = svc->stats();
+  service::ServiceStats stats = svc->stats();
   std::printf(
       "\nservice totals: %lld requests, %lld cache hits, %lld coalesced "
       "waits, %lld builds\n",

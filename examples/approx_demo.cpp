@@ -45,7 +45,7 @@ int main() {
   approx.mode = service::QueryMode::kApproxFirst;
   approx.confidence = 0.95;
   WallTimer first_answer;
-  auto query = svc.Query(kSql, "val", approx);
+  auto query = svc.Query({kSql, "val", approx});
   double first_answer_ms = first_answer.ElapsedMillis();
   if (!query.ok()) {
     std::cerr << "query failed: " << query.status().ToString() << "\n";
@@ -55,36 +55,35 @@ int main() {
       "approximate answer in %.2f ms: %d ranked answers over %d attrs\n"
       "  sample fraction %.4f, max +/-%.3f at %.0f%% confidence\n\n",
       first_answer_ms, query->num_answers, query->num_attrs,
-      query->sample_fraction, query->max_bound, approx.confidence * 100);
+      query->approx.sample_fraction, query->approx.max_bound,
+      approx.confidence * 100);
 
-  // 3. Interactive ops work on the approximate set right away — the
-  //    request stats say which kind of generation served them.
-  service::RequestStats stats;
-  auto summary = svc.Summarize(query->handle, {/*k=*/4, /*L=*/8, /*D=*/2},
-                               &stats);
+  // 3. Interactive ops work on the approximate set right away — each
+  //    response says which kind of generation served it.
+  auto summary = svc.Summarize({query->handle, {/*k=*/4, /*L=*/8, /*D=*/2}});
   if (!summary.ok()) {
     std::cerr << summary.status().ToString() << "\n";
     return 1;
   }
   std::printf("summarize on the approximate set (approximate=%s):\n",
-              stats.approximate ? "true" : "false");
+              summary->approx.is_exact ? "false" : "true");
 
   // 4. Refine: wait for the background exact build and republish through
   //    the same handle. Readers never block — they see the complete
   //    approximate generation until the complete exact one is swapped in.
   WallTimer refine_timer;
-  Status refined = svc.Refine(query->handle, &stats);
+  auto refined = svc.Refine({query->handle});
   if (!refined.ok()) {
-    std::cerr << refined.ToString() << "\n";
+    std::cerr << refined.status().ToString() << "\n";
     return 1;
   }
   std::printf("exact after refinement in %.0f ms (approximate=%s)\n\n",
               refine_timer.ElapsedMillis(),
-              stats.approximate ? "true" : "false");
+              refined->approx.is_exact ? "false" : "true");
 
   // 5. The same handle now serves the exact generation; render the
   //    two-layer summary from it.
-  auto explored = svc.Explore(query->handle, {/*k=*/4, /*L=*/8, /*D=*/2});
+  auto explored = svc.Explore({query->handle, {/*k=*/4, /*L=*/8, /*D=*/2}});
   if (!explored.ok()) {
     std::cerr << explored.status().ToString() << "\n";
     return 1;

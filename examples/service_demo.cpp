@@ -42,7 +42,7 @@ int main() {
       "GROUP BY hdec, agegrp, gender, occupation "
       "HAVING count(*) > 25 "
       "ORDER BY val DESC";
-  auto query = svc.Query(kSql, "val");
+  auto query = svc.Query({kSql, "val"});
   if (!query.ok()) {
     std::cerr << "query failed: " << query.status().ToString() << "\n";
     return 1;
@@ -61,19 +61,18 @@ int main() {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&svc, &query, c] {
       for (int round = 0; round < kRoundsPerClient; ++round) {
-        service::RequestStats stats;
         switch ((c + round) % 4) {
           case 0:
-            svc.Summarize(query->handle, {4, 8, 2}, &stats);
+            svc.Summarize({query->handle, {4, 8, 2}});
             break;
           case 1:
-            svc.Guidance(query->handle, 8, core::PrecomputeOptions(), &stats);
+            svc.Guidance({query->handle, 8});
             break;
           case 2:
-            svc.Retrieve(query->handle, 8, /*d=*/1, /*k=*/6, &stats);
+            svc.Retrieve({query->handle, 8, /*d=*/1, /*k=*/6});
             break;
           default:
-            svc.Explore(query->handle, {4, 8, 2});
+            svc.Explore({query->handle, {4, 8, 2}});
             break;
         }
       }
@@ -82,7 +81,7 @@ int main() {
   for (std::thread& t : clients) t.join();
 
   // 4. One more client renders the two-layer view — everything cached now.
-  auto explored = svc.Explore(query->handle, {4, 8, 2});
+  auto explored = svc.Explore({query->handle, {4, 8, 2}});
   if (!explored.ok()) {
     std::cerr << explored.status().ToString() << "\n";
     return 1;
@@ -99,12 +98,12 @@ int main() {
   //    The superseded caches are evicted the moment their last reader
   //    handle drops (drain-then-evict) — the generation counters below
   //    show the graveyard staying empty once everyone re-queried.
-  auto appended = svc.AppendRows("RatingTable", {delta_row});
+  auto appended = svc.AppendRows({"RatingTable", {delta_row}});
   if (!appended.ok()) {
     std::cerr << "append failed: " << appended.status().ToString() << "\n";
     return 1;
   }
-  auto refreshed = svc.Query(kSql, "val");
+  auto refreshed = svc.Query({kSql, "val"});
   if (refreshed.ok()) {
     std::printf("\nappend published catalog v%llu; next Query refreshed the "
                 "handle in place (refreshed: %s)\n",
@@ -113,7 +112,7 @@ int main() {
   }
 
   // 6. What the service did for those clients.
-  service::QueryService::Stats stats = svc.stats();
+  service::ServiceStats stats = svc.stats();
   std::printf(
       "\n=== ServiceStats ===\n"
       "datasets %lld | sessions %lld | requests %lld\n"

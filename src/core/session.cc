@@ -99,6 +99,9 @@ Status Session::Refresh(AnswerSet answers, RefreshStats* stats) {
 Result<std::shared_ptr<const ClusterUniverse>> Session::UniverseFor(
     int top_l, RequestTrace* trace) {
   QAG_ASSIGN_OR_RETURN(PinnedUniverse pinned, PinnedUniverseFor(top_l, trace));
+  if (trace != nullptr) {
+    trace->approximation = pinned.generation->answers->approximation();
+  }
   return std::shared_ptr<const ClusterUniverse>(std::move(pinned.generation),
                                                 pinned.universe);
 }
@@ -234,6 +237,15 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
   PrecomputeOptions resolved;
   const Generation* resolved_for = nullptr;
   std::string key;
+  // Every returned handle is aliased to the generation owning the store,
+  // and the trace's provenance is read from that same generation.
+  auto serve = [trace](std::shared_ptr<Generation> generation,
+                       const SolutionStore* store) {
+    if (trace != nullptr) {
+      trace->approximation = generation->answers->approximation();
+    }
+    return std::shared_ptr<const SolutionStore>(std::move(generation), store);
+  };
   while (true) {
     std::shared_ptr<const ReadView> view = CurrentView();
     if (resolved_for != view->generation.get()) {
@@ -244,7 +256,7 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
     if (const SolutionStore* store = CoveringStore(*view, top_l, resolved)) {
       Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
       if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-      return std::shared_ptr<const SolutionStore>(view->generation, store);
+      return serve(view->generation, store);
     }
     // Miss: coalesce with an identical in-flight precompute, or lead one.
     if (key.empty()) {
@@ -262,7 +274,7 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
               CoveringStore(*fresh, top_l, resolved)) {
         Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
         if (trace != nullptr && !trace->coalesced) trace->cache_hit = true;
-        return std::shared_ptr<const SolutionStore>(fresh->generation, store);
+        return serve(fresh->generation, store);
       }
       auto fit = store_flights_.find(key);
       if (fit != store_flights_.end()) {
@@ -310,8 +322,7 @@ Result<std::shared_ptr<const SolutionStore>> Session::Guidance(
       // else: superseded by a refresh mid-precompute — the handle serves
       // the overlapping request from the retired generation, which drains
       // when the last reader drops.
-      return std::shared_ptr<const SolutionStore>(std::move(pinned.generation),
-                                                  ptr);
+      return serve(std::move(pinned.generation), ptr);
     };
     Result<std::shared_ptr<const SolutionStore>> outcome = build();
     {
@@ -338,7 +349,10 @@ Result<Solution> Session::Retrieve(int top_l, int d, int k,
     Result<Solution> solution = it->second->Retrieve(d, k);
     if (solution.ok()) {
       Counters().store_hits.fetch_add(1, std::memory_order_relaxed);
-      if (trace != nullptr) trace->cache_hit = true;
+      if (trace != nullptr) {
+        trace->cache_hit = true;
+        trace->approximation = view->generation->answers->approximation();
+      }
       return solution;
     }
     if (first_error.ok()) first_error = solution.status();

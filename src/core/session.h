@@ -150,6 +150,11 @@ class Session {
     bool coalesced = false;
     /// Performed the build (cache miss, this caller was the leader).
     bool built = false;
+    /// Provenance of the generation that served the request: the pinned
+    /// view's, or the retired one a build that lost a race to a refresh
+    /// published into. A later approximation() load may already see a
+    /// newer generation, so labels must come from here.
+    Approximation approximation;
   };
 
   /// One-off summarization (Hybrid) under the given parameters; builds or

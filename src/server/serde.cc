@@ -10,78 +10,8 @@ using json::Json;
 
 namespace {
 
-// --- Validating readers --------------------------------------------------
-
-Result<const Json*> Member(const Json& doc, std::string_view key) {
-  if (!doc.is_object()) {
-    return Status::InvalidArgument("expected a JSON object");
-  }
-  const Json* found = doc.Find(key);
-  if (found == nullptr) {
-    return Status::InvalidArgument(StrCat("missing field \"", key, "\""));
-  }
-  return found;
-}
-
-Result<int64_t> GetInt(const Json& doc, std::string_view key) {
-  QAG_ASSIGN_OR_RETURN(const Json* v, Member(doc, key));
-  if (!v->is_int()) {
-    return Status::InvalidArgument(
-        StrCat("field \"", key, "\" must be an integer"));
-  }
-  return v->AsInt();
-}
-
-Result<double> GetDouble(const Json& doc, std::string_view key) {
-  QAG_ASSIGN_OR_RETURN(const Json* v, Member(doc, key));
-  if (!v->is_number()) {
-    return Status::InvalidArgument(
-        StrCat("field \"", key, "\" must be a number"));
-  }
-  return v->AsDouble();
-}
-
-Result<bool> GetBool(const Json& doc, std::string_view key) {
-  QAG_ASSIGN_OR_RETURN(const Json* v, Member(doc, key));
-  if (!v->is_bool()) {
-    return Status::InvalidArgument(
-        StrCat("field \"", key, "\" must be a boolean"));
-  }
-  return v->AsBool();
-}
-
-Result<std::string> GetString(const Json& doc, std::string_view key) {
-  QAG_ASSIGN_OR_RETURN(const Json* v, Member(doc, key));
-  if (!v->is_string()) {
-    return Status::InvalidArgument(
-        StrCat("field \"", key, "\" must be a string"));
-  }
-  return v->AsString();
-}
-
-Result<std::vector<int>> GetIntArray(const Json& doc, std::string_view key) {
-  QAG_ASSIGN_OR_RETURN(const Json* v, Member(doc, key));
-  if (!v->is_array()) {
-    return Status::InvalidArgument(
-        StrCat("field \"", key, "\" must be an array"));
-  }
-  std::vector<int> out;
-  out.reserve(v->size());
-  for (size_t i = 0; i < v->size(); ++i) {
-    if (!v->at(i).is_int()) {
-      return Status::InvalidArgument(
-          StrCat("field \"", key, "\" must hold integers"));
-    }
-    out.push_back(static_cast<int>(v->at(i).AsInt()));
-  }
-  return out;
-}
-
-Json IntArrayToJson(const std::vector<int>& values) {
-  Json out = Json::Array();
-  for (int v : values) out.Append(Json::Int(v));
-  return out;
-}
+// Both directions walk the Fields() lists of service/api.h; only the leaf
+// types (numbers, strings, arrays, enums, table cells) are spelled out here.
 
 const char* QueryModeName(service::QueryMode mode) {
   switch (mode) {
@@ -92,55 +22,17 @@ const char* QueryModeName(service::QueryMode mode) {
   return "exact_only";
 }
 
-Result<service::QueryMode> QueryModeFromName(std::string_view name) {
-  if (name == "exact_only") return service::QueryMode::kExactOnly;
-  if (name == "approx_first") return service::QueryMode::kApproxFirst;
-  if (name == "approx_only") return service::QueryMode::kApproxOnly;
-  return Status::InvalidArgument(StrCat("unknown query mode \"", name, "\""));
-}
+// --- Writer --------------------------------------------------------------
 
-Json ToJson(const service::QueryOptions& options) {
-  Json out = Json::Object();
-  out.Set("mode", Json::Str(QueryModeName(options.mode)));
-  out.Set("confidence", Json::Number(options.confidence));
-  return out;
-}
+Json Encode(bool value) { return Json::Bool(value); }
+Json Encode(int value) { return Json::Int(value); }
+Json Encode(int64_t value) { return Json::Int(value); }
+Json Encode(uint64_t value) { return Json::Int(static_cast<int64_t>(value)); }
+Json Encode(double value) { return Json::Number(value); }
+Json Encode(const std::string& value) { return Json::Str(value); }
+Json Encode(service::QueryMode mode) { return Json::Str(QueryModeName(mode)); }
 
-Result<service::QueryOptions> QueryOptionsFromJson(const Json& doc) {
-  service::QueryOptions out;
-  QAG_ASSIGN_OR_RETURN(std::string mode, GetString(doc, "mode"));
-  QAG_ASSIGN_OR_RETURN(out.mode, QueryModeFromName(mode));
-  QAG_ASSIGN_OR_RETURN(out.confidence, GetDouble(doc, "confidence"));
-  return out;
-}
-
-Json ToJson(const core::PrecomputeOptions& options) {
-  Json out = Json::Object();
-  out.Set("k_min", Json::Int(options.k_min));
-  out.Set("k_max", Json::Int(options.k_max));
-  out.Set("d_values", IntArrayToJson(options.d_values));
-  out.Set("c", Json::Int(options.c));
-  out.Set("use_delta_judgment", Json::Bool(options.use_delta_judgment));
-  // num_threads is a per-process execution knob, not request content:
-  // it never changes the resulting store, so it does not travel.
-  return out;
-}
-
-Result<core::PrecomputeOptions> PrecomputeOptionsFromJson(const Json& doc) {
-  core::PrecomputeOptions out;
-  QAG_ASSIGN_OR_RETURN(int64_t k_min, GetInt(doc, "k_min"));
-  QAG_ASSIGN_OR_RETURN(int64_t k_max, GetInt(doc, "k_max"));
-  QAG_ASSIGN_OR_RETURN(out.d_values, GetIntArray(doc, "d_values"));
-  QAG_ASSIGN_OR_RETURN(int64_t c, GetInt(doc, "c"));
-  QAG_ASSIGN_OR_RETURN(out.use_delta_judgment,
-                       GetBool(doc, "use_delta_judgment"));
-  out.k_min = static_cast<int>(k_min);
-  out.k_max = static_cast<int>(k_max);
-  out.c = static_cast<int>(c);
-  return out;
-}
-
-Json ToJson(const storage::Value& value) {
+Json Encode(const storage::Value& value) {
   switch (value.type()) {
     case storage::ValueType::kNull: return Json::Null();
     case storage::ValueType::kInt64: return Json::Int(value.as_int());
@@ -150,529 +42,230 @@ Json ToJson(const storage::Value& value) {
   return Json::Null();
 }
 
-Result<storage::Value> ValueFromJson(const Json& cell) {
-  if (cell.is_null()) return storage::Value::Null();
-  if (cell.is_string()) return storage::Value::Str(cell.AsString());
-  if (cell.is_int()) return storage::Value::Int(cell.AsInt());
-  if (cell.is_number()) return storage::Value::Real(cell.AsDouble());
-  return Status::InvalidArgument(
-      "row cells must be null, string, or number");
+template <typename T>
+Json Encode(const T& value);
+
+template <typename T>
+Json Encode(const std::vector<T>& values) {
+  Json out = Json::Array();
+  for (const T& value : values) out.Append(Encode(value));
+  return out;
+}
+
+/// A struct: one member per entry of its field list, in list order.
+template <typename T>
+Json Encode(const T& value) {
+  Json out = Json::Object();
+  service::Fields(value, [&out](const char* name, const auto& field,
+                                service::Presence = {}) {
+    out.Set(name, Encode(field));
+  });
+  return out;
+}
+
+// --- Validating reader ---------------------------------------------------
+//
+// Read(doc, key, out) parses `doc`, the value of field `key`, into `*out`;
+// every failure is InvalidArgument naming the field.
+
+Status Read(const Json& doc, std::string_view key, int64_t* out) {
+  if (!doc.is_int()) {
+    return Status::InvalidArgument(
+        StrCat("field \"", key, "\" must be an integer"));
+  }
+  *out = doc.AsInt();
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, int* out) {
+  int64_t wide = 0;
+  QAG_RETURN_IF_ERROR(Read(doc, key, &wide));
+  *out = static_cast<int>(wide);
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, uint64_t* out) {
+  int64_t wide = 0;
+  QAG_RETURN_IF_ERROR(Read(doc, key, &wide));
+  *out = static_cast<uint64_t>(wide);
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, double* out) {
+  if (!doc.is_number()) {
+    return Status::InvalidArgument(
+        StrCat("field \"", key, "\" must be a number"));
+  }
+  *out = doc.AsDouble();
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, bool* out) {
+  if (!doc.is_bool()) {
+    return Status::InvalidArgument(
+        StrCat("field \"", key, "\" must be a boolean"));
+  }
+  *out = doc.AsBool();
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, std::string* out) {
+  if (!doc.is_string()) {
+    return Status::InvalidArgument(
+        StrCat("field \"", key, "\" must be a string"));
+  }
+  *out = doc.AsString();
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key, service::QueryMode* out) {
+  std::string name;
+  QAG_RETURN_IF_ERROR(Read(doc, key, &name));
+  for (service::QueryMode mode :
+       {service::QueryMode::kExactOnly, service::QueryMode::kApproxFirst,
+        service::QueryMode::kApproxOnly}) {
+    if (name == QueryModeName(mode)) {
+      *out = mode;
+      return Status::OK();
+    }
+  }
+  return Status::InvalidArgument(StrCat("unknown query mode \"", name, "\""));
+}
+
+Status Read(const Json& doc, std::string_view key, std::vector<int>* out) {
+  if (!doc.is_array()) {
+    return Status::InvalidArgument(
+        StrCat("field \"", key, "\" must be an array"));
+  }
+  out->clear();
+  out->reserve(doc.size());
+  for (size_t i = 0; i < doc.size(); ++i) {
+    if (!doc.at(i).is_int()) {
+      return Status::InvalidArgument(
+          StrCat("field \"", key, "\" must hold integers"));
+    }
+    out->push_back(static_cast<int>(doc.at(i).AsInt()));
+  }
+  return Status::OK();
+}
+
+Status Read(const Json& doc, std::string_view key,
+            std::vector<std::vector<storage::Value>>* out) {
+  const Status not_rows = Status::InvalidArgument(
+      StrCat("\"", key, "\" must be an array of arrays"));
+  if (!doc.is_array()) return not_rows;
+  out->clear();
+  for (size_t i = 0; i < doc.size(); ++i) {
+    const Json& row = doc.at(i);
+    if (!row.is_array()) return not_rows;
+    std::vector<storage::Value> cells;
+    cells.reserve(row.size());
+    for (size_t j = 0; j < row.size(); ++j) {
+      const Json& cell = row.at(j);
+      if (cell.is_null()) {
+        cells.push_back(storage::Value::Null());
+      } else if (cell.is_string()) {
+        cells.push_back(storage::Value::Str(cell.AsString()));
+      } else if (cell.is_int()) {
+        cells.push_back(storage::Value::Int(cell.AsInt()));
+      } else if (cell.is_number()) {
+        cells.push_back(storage::Value::Real(cell.AsDouble()));
+      } else {
+        return Status::InvalidArgument(
+            "row cells must be null, string, or number");
+      }
+    }
+    out->push_back(std::move(cells));
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Status Read(const Json& doc, std::string_view key, T* out);
+
+/// An array of structs.
+template <typename T>
+Status Read(const Json& doc, std::string_view key, std::vector<T>* out) {
+  if (!doc.is_array()) {
+    return Status::InvalidArgument(StrCat("\"", key, "\" must be an array"));
+  }
+  out->assign(doc.size(), T());
+  for (size_t i = 0; i < doc.size(); ++i) {
+    QAG_RETURN_IF_ERROR(Read(doc.at(i), key, &(*out)[i]));
+  }
+  return Status::OK();
+}
+
+/// A struct: every required field must be present; the first failure in
+/// list order is the one reported.
+template <typename T>
+Status Read(const Json& doc, std::string_view /*key*/, T* out) {
+  if (!doc.is_object()) {
+    return Status::InvalidArgument("expected a JSON object");
+  }
+  Status status;
+  service::Fields(*out, [&](const char* name, auto& field,
+                            service::Presence presence = {}) {
+    if (!status.ok()) return;
+    const Json* member = doc.Find(name);
+    if (member == nullptr) {
+      if (presence == service::Presence::kRequired) {
+        status = Status::InvalidArgument(
+            StrCat("missing field \"", name, "\""));
+      }
+      return;
+    }
+    status = Read(*member, name, &field);
+  });
+  return status;
+}
+
+template <typename T>
+Result<T> Decode(const Json& doc) {
+  T out;
+  QAG_RETURN_IF_ERROR(Read(doc, "", &out));
+  return out;
 }
 
 }  // namespace
 
-// --- Shared pieces -------------------------------------------------------
+// Every serde.h pair is one instantiation of the generic writer and
+// reader; ServiceStats alone adds its derived requests() total.
 
-Json ToJson(const service::RequestStats& stats) {
-  Json out = Json::Object();
-  out.Set("latency_ms", Json::Number(stats.latency_ms));
-  out.Set("cache_hit", Json::Bool(stats.cache_hit));
-  out.Set("coalesced", Json::Bool(stats.coalesced));
-  out.Set("built", Json::Bool(stats.built));
-  out.Set("refreshed", Json::Bool(stats.refreshed));
-  out.Set("approximate", Json::Bool(stats.approximate));
-  out.Set("sample_fraction", Json::Number(stats.sample_fraction));
-  out.Set("max_bound", Json::Number(stats.max_bound));
-  return out;
-}
+#define QAGVIEW_SERDE(Type, FromJsonName)                                 \
+  Json ToJson(const Type& value) { return Encode(value); }                \
+  Result<Type> FromJsonName(const Json& doc) { return Decode<Type>(doc); }
 
-Result<service::RequestStats> RequestStatsFromJson(const Json& doc) {
-  service::RequestStats out;
-  QAG_ASSIGN_OR_RETURN(out.latency_ms, GetDouble(doc, "latency_ms"));
-  QAG_ASSIGN_OR_RETURN(out.cache_hit, GetBool(doc, "cache_hit"));
-  QAG_ASSIGN_OR_RETURN(out.coalesced, GetBool(doc, "coalesced"));
-  QAG_ASSIGN_OR_RETURN(out.built, GetBool(doc, "built"));
-  QAG_ASSIGN_OR_RETURN(out.refreshed, GetBool(doc, "refreshed"));
-  QAG_ASSIGN_OR_RETURN(out.approximate, GetBool(doc, "approximate"));
-  QAG_ASSIGN_OR_RETURN(out.sample_fraction,
-                       GetDouble(doc, "sample_fraction"));
-  QAG_ASSIGN_OR_RETURN(out.max_bound, GetDouble(doc, "max_bound"));
-  return out;
-}
+QAGVIEW_SERDE(service::QueryRequest, QueryRequestFromJson)
+QAGVIEW_SERDE(service::SummarizeRequest, SummarizeRequestFromJson)
+QAGVIEW_SERDE(service::GuidanceRequest, GuidanceRequestFromJson)
+QAGVIEW_SERDE(service::RetrieveRequest, RetrieveRequestFromJson)
+QAGVIEW_SERDE(service::ExploreRequest, ExploreRequestFromJson)
+QAGVIEW_SERDE(service::RefineRequest, RefineRequestFromJson)
+QAGVIEW_SERDE(service::AppendRowsRequest, AppendRowsRequestFromJson)
+QAGVIEW_SERDE(service::QueryResponse, QueryResponseFromJson)
+QAGVIEW_SERDE(service::SummarizeResponse, SummarizeResponseFromJson)
+QAGVIEW_SERDE(service::GuidanceResponse, GuidanceResponseFromJson)
+QAGVIEW_SERDE(service::RetrieveResponse, RetrieveResponseFromJson)
+QAGVIEW_SERDE(service::ExploreResponse, ExploreResponseFromJson)
+QAGVIEW_SERDE(service::RefineResponse, RefineResponseFromJson)
+QAGVIEW_SERDE(service::AppendRowsResponse, AppendRowsResponseFromJson)
+QAGVIEW_SERDE(service::RequestStats, RequestStatsFromJson)
+QAGVIEW_SERDE(service::ApproxMeta, ApproxMetaFromJson)
+QAGVIEW_SERDE(core::Params, ParamsFromJson)
+QAGVIEW_SERDE(core::Solution, SolutionFromJson)
+QAGVIEW_SERDE(core::TwoLayerView, TwoLayerViewFromJson)
 
-Json ToJson(const service::ApproxMeta& meta) {
-  Json out = Json::Object();
-  out.Set("is_exact", Json::Bool(meta.is_exact));
-  out.Set("sample_fraction", Json::Number(meta.sample_fraction));
-  out.Set("max_bound", Json::Number(meta.max_bound));
-  return out;
-}
-
-Result<service::ApproxMeta> ApproxMetaFromJson(const Json& doc) {
-  service::ApproxMeta out;
-  QAG_ASSIGN_OR_RETURN(out.is_exact, GetBool(doc, "is_exact"));
-  QAG_ASSIGN_OR_RETURN(out.sample_fraction,
-                       GetDouble(doc, "sample_fraction"));
-  QAG_ASSIGN_OR_RETURN(out.max_bound, GetDouble(doc, "max_bound"));
-  return out;
-}
-
-Json ToJson(const core::Params& params) {
-  Json out = Json::Object();
-  out.Set("k", Json::Int(params.k));
-  out.Set("L", Json::Int(params.L));
-  out.Set("D", Json::Int(params.D));
-  return out;
-}
-
-Result<core::Params> ParamsFromJson(const Json& doc) {
-  core::Params out;
-  QAG_ASSIGN_OR_RETURN(int64_t k, GetInt(doc, "k"));
-  QAG_ASSIGN_OR_RETURN(int64_t l, GetInt(doc, "L"));
-  QAG_ASSIGN_OR_RETURN(int64_t d, GetInt(doc, "D"));
-  out.k = static_cast<int>(k);
-  out.L = static_cast<int>(l);
-  out.D = static_cast<int>(d);
-  return out;
-}
-
-Json ToJson(const core::Solution& solution) {
-  Json out = Json::Object();
-  out.Set("cluster_ids", IntArrayToJson(solution.cluster_ids));
-  out.Set("covered_sum", Json::Number(solution.covered_sum));
-  out.Set("covered_count", Json::Int(solution.covered_count));
-  out.Set("average", Json::Number(solution.average));
-  out.Set("covered_min", Json::Number(solution.covered_min));
-  return out;
-}
-
-Result<core::Solution> SolutionFromJson(const Json& doc) {
-  core::Solution out;
-  QAG_ASSIGN_OR_RETURN(out.cluster_ids, GetIntArray(doc, "cluster_ids"));
-  QAG_ASSIGN_OR_RETURN(out.covered_sum, GetDouble(doc, "covered_sum"));
-  QAG_ASSIGN_OR_RETURN(int64_t count, GetInt(doc, "covered_count"));
-  QAG_ASSIGN_OR_RETURN(out.average, GetDouble(doc, "average"));
-  QAG_ASSIGN_OR_RETURN(out.covered_min, GetDouble(doc, "covered_min"));
-  out.covered_count = static_cast<int>(count);
-  return out;
-}
-
-Json ToJson(const core::TwoLayerView& view) {
-  Json clusters = Json::Array();
-  for (const core::ClusterView& c : view.clusters) {
-    Json row = Json::Object();
-    row.Set("cluster_id", Json::Int(c.cluster_id));
-    row.Set("pattern", Json::Str(c.pattern));
-    row.Set("average", Json::Number(c.average));
-    row.Set("count", Json::Int(c.count));
-    row.Set("top_count", Json::Int(c.top_count));
-    row.Set("member_ranks", IntArrayToJson(c.member_ranks));
-    clusters.Append(std::move(row));
-  }
-  Json out = Json::Object();
-  out.Set("clusters", std::move(clusters));
-  out.Set("solution_average", Json::Number(view.solution_average));
-  out.Set("solution_count", Json::Int(view.solution_count));
-  return out;
-}
-
-Result<core::TwoLayerView> TwoLayerViewFromJson(const Json& doc) {
-  core::TwoLayerView out;
-  QAG_ASSIGN_OR_RETURN(const Json* clusters, Member(doc, "clusters"));
-  if (!clusters->is_array()) {
-    return Status::InvalidArgument("\"clusters\" must be an array");
-  }
-  for (size_t i = 0; i < clusters->size(); ++i) {
-    const Json& row = clusters->at(i);
-    core::ClusterView c;
-    QAG_ASSIGN_OR_RETURN(int64_t id, GetInt(row, "cluster_id"));
-    QAG_ASSIGN_OR_RETURN(c.pattern, GetString(row, "pattern"));
-    QAG_ASSIGN_OR_RETURN(c.average, GetDouble(row, "average"));
-    QAG_ASSIGN_OR_RETURN(int64_t count, GetInt(row, "count"));
-    QAG_ASSIGN_OR_RETURN(int64_t top_count, GetInt(row, "top_count"));
-    QAG_ASSIGN_OR_RETURN(c.member_ranks, GetIntArray(row, "member_ranks"));
-    c.cluster_id = static_cast<int>(id);
-    c.count = static_cast<int>(count);
-    c.top_count = static_cast<int>(top_count);
-    out.clusters.push_back(std::move(c));
-  }
-  QAG_ASSIGN_OR_RETURN(out.solution_average,
-                       GetDouble(doc, "solution_average"));
-  QAG_ASSIGN_OR_RETURN(int64_t solution_count,
-                       GetInt(doc, "solution_count"));
-  out.solution_count = static_cast<int>(solution_count);
-  return out;
-}
-
-// --- Requests ------------------------------------------------------------
-
-Json ToJson(const service::QueryRequest& request) {
-  Json out = Json::Object();
-  out.Set("sql", Json::Str(request.sql));
-  out.Set("value_column", Json::Str(request.value_column));
-  out.Set("options", ToJson(request.options));
-  return out;
-}
-
-Result<service::QueryRequest> QueryRequestFromJson(const Json& doc) {
-  service::QueryRequest out;
-  QAG_ASSIGN_OR_RETURN(out.sql, GetString(doc, "sql"));
-  QAG_ASSIGN_OR_RETURN(out.value_column, GetString(doc, "value_column"));
-  // options are optional: a bare {sql, value_column} request is exact-only.
-  if (doc.Find("options") != nullptr) {
-    QAG_ASSIGN_OR_RETURN(out.options,
-                         QueryOptionsFromJson(*doc.Find("options")));
-  }
-  return out;
-}
-
-Json ToJson(const service::SummarizeRequest& request) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(request.handle));
-  out.Set("params", ToJson(request.params));
-  return out;
-}
-
-Result<service::SummarizeRequest> SummarizeRequestFromJson(const Json& doc) {
-  service::SummarizeRequest out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  QAG_ASSIGN_OR_RETURN(const Json* params, Member(doc, "params"));
-  QAG_ASSIGN_OR_RETURN(out.params, ParamsFromJson(*params));
-  return out;
-}
-
-Json ToJson(const service::GuidanceRequest& request) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(request.handle));
-  out.Set("top_l", Json::Int(request.top_l));
-  out.Set("options", ToJson(request.options));
-  return out;
-}
-
-Result<service::GuidanceRequest> GuidanceRequestFromJson(const Json& doc) {
-  service::GuidanceRequest out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  QAG_ASSIGN_OR_RETURN(int64_t top_l, GetInt(doc, "top_l"));
-  out.top_l = static_cast<int>(top_l);
-  // options are optional: defaults mirror the in-process default argument.
-  if (doc.Find("options") != nullptr) {
-    QAG_ASSIGN_OR_RETURN(out.options,
-                         PrecomputeOptionsFromJson(*doc.Find("options")));
-  }
-  return out;
-}
-
-Json ToJson(const service::RetrieveRequest& request) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(request.handle));
-  out.Set("top_l", Json::Int(request.top_l));
-  out.Set("d", Json::Int(request.d));
-  out.Set("k", Json::Int(request.k));
-  return out;
-}
-
-Result<service::RetrieveRequest> RetrieveRequestFromJson(const Json& doc) {
-  service::RetrieveRequest out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  QAG_ASSIGN_OR_RETURN(int64_t top_l, GetInt(doc, "top_l"));
-  QAG_ASSIGN_OR_RETURN(int64_t d, GetInt(doc, "d"));
-  QAG_ASSIGN_OR_RETURN(int64_t k, GetInt(doc, "k"));
-  out.top_l = static_cast<int>(top_l);
-  out.d = static_cast<int>(d);
-  out.k = static_cast<int>(k);
-  return out;
-}
-
-Json ToJson(const service::ExploreRequest& request) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(request.handle));
-  out.Set("params", ToJson(request.params));
-  out.Set("max_members", Json::Int(request.max_members));
-  return out;
-}
-
-Result<service::ExploreRequest> ExploreRequestFromJson(const Json& doc) {
-  service::ExploreRequest out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  QAG_ASSIGN_OR_RETURN(const Json* params, Member(doc, "params"));
-  QAG_ASSIGN_OR_RETURN(out.params, ParamsFromJson(*params));
-  if (doc.Find("max_members") != nullptr) {
-    QAG_ASSIGN_OR_RETURN(int64_t max_members, GetInt(doc, "max_members"));
-    out.max_members = static_cast<int>(max_members);
-  }
-  return out;
-}
-
-Json ToJson(const service::RefineRequest& request) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(request.handle));
-  return out;
-}
-
-Result<service::RefineRequest> RefineRequestFromJson(const Json& doc) {
-  service::RefineRequest out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  return out;
-}
-
-Json ToJson(const service::AppendRowsRequest& request) {
-  Json rows = Json::Array();
-  for (const auto& row : request.rows) {
-    Json cells = Json::Array();
-    for (const storage::Value& cell : row) cells.Append(ToJson(cell));
-    rows.Append(std::move(cells));
-  }
-  Json out = Json::Object();
-  out.Set("dataset", Json::Str(request.dataset));
-  out.Set("rows", std::move(rows));
-  return out;
-}
-
-Result<service::AppendRowsRequest> AppendRowsRequestFromJson(
-    const Json& doc) {
-  service::AppendRowsRequest out;
-  QAG_ASSIGN_OR_RETURN(out.dataset, GetString(doc, "dataset"));
-  QAG_ASSIGN_OR_RETURN(const Json* rows, Member(doc, "rows"));
-  if (!rows->is_array()) {
-    return Status::InvalidArgument("\"rows\" must be an array of arrays");
-  }
-  for (size_t i = 0; i < rows->size(); ++i) {
-    const Json& row = rows->at(i);
-    if (!row.is_array()) {
-      return Status::InvalidArgument("\"rows\" must be an array of arrays");
-    }
-    std::vector<storage::Value> cells;
-    cells.reserve(row.size());
-    for (size_t j = 0; j < row.size(); ++j) {
-      QAG_ASSIGN_OR_RETURN(storage::Value cell, ValueFromJson(row.at(j)));
-      cells.push_back(std::move(cell));
-    }
-    out.rows.push_back(std::move(cells));
-  }
-  return out;
-}
-
-// --- Responses -----------------------------------------------------------
-
-Json ToJson(const service::QueryResponse& response) {
-  Json out = Json::Object();
-  out.Set("handle", Json::Int(response.handle));
-  out.Set("num_answers", Json::Int(response.num_answers));
-  out.Set("num_attrs", Json::Int(response.num_attrs));
-  out.Set("confidence", Json::Number(response.confidence));
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::QueryResponse> QueryResponseFromJson(const Json& doc) {
-  service::QueryResponse out;
-  QAG_ASSIGN_OR_RETURN(out.handle, GetInt(doc, "handle"));
-  QAG_ASSIGN_OR_RETURN(int64_t num_answers, GetInt(doc, "num_answers"));
-  QAG_ASSIGN_OR_RETURN(int64_t num_attrs, GetInt(doc, "num_attrs"));
-  QAG_ASSIGN_OR_RETURN(out.confidence, GetDouble(doc, "confidence"));
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  out.num_answers = static_cast<int>(num_answers);
-  out.num_attrs = static_cast<int>(num_attrs);
-  return out;
-}
-
-Json ToJson(const service::SummarizeResponse& response) {
-  Json out = Json::Object();
-  out.Set("solution", ToJson(response.solution));
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::SummarizeResponse> SummarizeResponseFromJson(
-    const Json& doc) {
-  service::SummarizeResponse out;
-  QAG_ASSIGN_OR_RETURN(const Json* solution, Member(doc, "solution"));
-  QAG_ASSIGN_OR_RETURN(out.solution, SolutionFromJson(*solution));
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  return out;
-}
-
-Json ToJson(const service::GuidanceResponse& response) {
-  Json out = Json::Object();
-  out.Set("store_l", Json::Int(response.store_l));
-  out.Set("k_max", Json::Int(response.k_max));
-  out.Set("d_values", IntArrayToJson(response.d_values));
-  out.Set("min_ks", IntArrayToJson(response.min_ks));
-  out.Set("num_intervals", Json::Int(response.num_intervals));
-  out.Set("naive_entries", Json::Int(response.naive_entries));
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::GuidanceResponse> GuidanceResponseFromJson(const Json& doc) {
-  service::GuidanceResponse out;
-  QAG_ASSIGN_OR_RETURN(int64_t store_l, GetInt(doc, "store_l"));
-  QAG_ASSIGN_OR_RETURN(int64_t k_max, GetInt(doc, "k_max"));
-  QAG_ASSIGN_OR_RETURN(out.d_values, GetIntArray(doc, "d_values"));
-  QAG_ASSIGN_OR_RETURN(out.min_ks, GetIntArray(doc, "min_ks"));
-  QAG_ASSIGN_OR_RETURN(out.num_intervals, GetInt(doc, "num_intervals"));
-  QAG_ASSIGN_OR_RETURN(out.naive_entries, GetInt(doc, "naive_entries"));
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  out.store_l = static_cast<int>(store_l);
-  out.k_max = static_cast<int>(k_max);
-  return out;
-}
-
-Json ToJson(const service::RetrieveResponse& response) {
-  Json out = Json::Object();
-  out.Set("solution", ToJson(response.solution));
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::RetrieveResponse> RetrieveResponseFromJson(const Json& doc) {
-  service::RetrieveResponse out;
-  QAG_ASSIGN_OR_RETURN(const Json* solution, Member(doc, "solution"));
-  QAG_ASSIGN_OR_RETURN(out.solution, SolutionFromJson(*solution));
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  return out;
-}
-
-Json ToJson(const service::ExploreResponse& response) {
-  Json out = Json::Object();
-  out.Set("solution", ToJson(response.solution));
-  out.Set("view", ToJson(response.view));
-  out.Set("summary", Json::Str(response.summary));
-  out.Set("expanded", Json::Str(response.expanded));
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::ExploreResponse> ExploreResponseFromJson(const Json& doc) {
-  service::ExploreResponse out;
-  QAG_ASSIGN_OR_RETURN(const Json* solution, Member(doc, "solution"));
-  QAG_ASSIGN_OR_RETURN(out.solution, SolutionFromJson(*solution));
-  QAG_ASSIGN_OR_RETURN(const Json* view, Member(doc, "view"));
-  QAG_ASSIGN_OR_RETURN(out.view, TwoLayerViewFromJson(*view));
-  QAG_ASSIGN_OR_RETURN(out.summary, GetString(doc, "summary"));
-  QAG_ASSIGN_OR_RETURN(out.expanded, GetString(doc, "expanded"));
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  return out;
-}
-
-Json ToJson(const service::RefineResponse& response) {
-  Json out = Json::Object();
-  out.Set("approx", ToJson(response.approx));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::RefineResponse> RefineResponseFromJson(const Json& doc) {
-  service::RefineResponse out;
-  QAG_ASSIGN_OR_RETURN(const Json* approx, Member(doc, "approx"));
-  QAG_ASSIGN_OR_RETURN(out.approx, ApproxMetaFromJson(*approx));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  return out;
-}
-
-Json ToJson(const service::AppendRowsResponse& response) {
-  Json out = Json::Object();
-  out.Set("version", Json::Int(static_cast<int64_t>(response.version)));
-  out.Set("stats", ToJson(response.stats));
-  return out;
-}
-
-Result<service::AppendRowsResponse> AppendRowsResponseFromJson(
-    const Json& doc) {
-  service::AppendRowsResponse out;
-  QAG_ASSIGN_OR_RETURN(int64_t version, GetInt(doc, "version"));
-  QAG_ASSIGN_OR_RETURN(const Json* stats, Member(doc, "stats"));
-  QAG_ASSIGN_OR_RETURN(out.stats, RequestStatsFromJson(*stats));
-  out.version = static_cast<uint64_t>(version);
-  return out;
-}
+#undef QAGVIEW_SERDE
 
 Json ToJson(const service::ServiceStats& stats) {
-  Json out = Json::Object();
-  out.Set("datasets", Json::Int(stats.datasets));
-  out.Set("sessions", Json::Int(stats.sessions));
-  out.Set("queries", Json::Int(stats.queries));
-  out.Set("query_cache_hits", Json::Int(stats.query_cache_hits));
-  out.Set("query_coalesced", Json::Int(stats.query_coalesced));
-  out.Set("summarize_requests", Json::Int(stats.summarize_requests));
-  out.Set("guidance_requests", Json::Int(stats.guidance_requests));
-  out.Set("retrieve_requests", Json::Int(stats.retrieve_requests));
-  out.Set("explore_requests", Json::Int(stats.explore_requests));
-  out.Set("cache_hits", Json::Int(stats.cache_hits));
-  out.Set("coalesced_waits", Json::Int(stats.coalesced_waits));
-  out.Set("builds", Json::Int(stats.builds));
-  out.Set("refreshes", Json::Int(stats.refreshes));
-  out.Set("refresh_full_reuses", Json::Int(stats.refresh_full_reuses));
-  out.Set("approx_queries", Json::Int(stats.approx_queries));
-  out.Set("approx_served", Json::Int(stats.approx_served));
-  out.Set("refine_requests", Json::Int(stats.refine_requests));
-  out.Set("refinements", Json::Int(stats.refinements));
-  out.Set("refinements_superseded",
-          Json::Int(stats.refinements_superseded));
-  out.Set("graveyard_size", Json::Int(stats.graveyard_size));
-  out.Set("live_generations", Json::Int(stats.live_generations));
-  out.Set("generations_evicted", Json::Int(stats.generations_evicted));
-  out.Set("prefetch_issued", Json::Int(stats.prefetch_issued));
-  out.Set("prefetch_hits", Json::Int(stats.prefetch_hits));
-  out.Set("warm_start_loads", Json::Int(stats.warm_start_loads));
-  out.Set("total_latency_ms", Json::Number(stats.total_latency_ms));
-  out.Set("max_latency_ms", Json::Number(stats.max_latency_ms));
+  Json out = Encode(stats);
   out.Set("requests", Json::Int(stats.requests()));
   return out;
 }
 
 Result<service::ServiceStats> ServiceStatsFromJson(const Json& doc) {
-  service::ServiceStats out;
-  QAG_ASSIGN_OR_RETURN(out.datasets, GetInt(doc, "datasets"));
-  QAG_ASSIGN_OR_RETURN(out.sessions, GetInt(doc, "sessions"));
-  QAG_ASSIGN_OR_RETURN(out.queries, GetInt(doc, "queries"));
-  QAG_ASSIGN_OR_RETURN(out.query_cache_hits,
-                       GetInt(doc, "query_cache_hits"));
-  QAG_ASSIGN_OR_RETURN(out.query_coalesced, GetInt(doc, "query_coalesced"));
-  QAG_ASSIGN_OR_RETURN(out.summarize_requests,
-                       GetInt(doc, "summarize_requests"));
-  QAG_ASSIGN_OR_RETURN(out.guidance_requests,
-                       GetInt(doc, "guidance_requests"));
-  QAG_ASSIGN_OR_RETURN(out.retrieve_requests,
-                       GetInt(doc, "retrieve_requests"));
-  QAG_ASSIGN_OR_RETURN(out.explore_requests,
-                       GetInt(doc, "explore_requests"));
-  QAG_ASSIGN_OR_RETURN(out.cache_hits, GetInt(doc, "cache_hits"));
-  QAG_ASSIGN_OR_RETURN(out.coalesced_waits, GetInt(doc, "coalesced_waits"));
-  QAG_ASSIGN_OR_RETURN(out.builds, GetInt(doc, "builds"));
-  QAG_ASSIGN_OR_RETURN(out.refreshes, GetInt(doc, "refreshes"));
-  QAG_ASSIGN_OR_RETURN(out.refresh_full_reuses,
-                       GetInt(doc, "refresh_full_reuses"));
-  QAG_ASSIGN_OR_RETURN(out.approx_queries, GetInt(doc, "approx_queries"));
-  QAG_ASSIGN_OR_RETURN(out.approx_served, GetInt(doc, "approx_served"));
-  QAG_ASSIGN_OR_RETURN(out.refine_requests, GetInt(doc, "refine_requests"));
-  QAG_ASSIGN_OR_RETURN(out.refinements, GetInt(doc, "refinements"));
-  QAG_ASSIGN_OR_RETURN(out.refinements_superseded,
-                       GetInt(doc, "refinements_superseded"));
-  QAG_ASSIGN_OR_RETURN(out.graveyard_size, GetInt(doc, "graveyard_size"));
-  QAG_ASSIGN_OR_RETURN(out.live_generations,
-                       GetInt(doc, "live_generations"));
-  QAG_ASSIGN_OR_RETURN(out.generations_evicted,
-                       GetInt(doc, "generations_evicted"));
-  QAG_ASSIGN_OR_RETURN(out.prefetch_issued, GetInt(doc, "prefetch_issued"));
-  QAG_ASSIGN_OR_RETURN(out.prefetch_hits, GetInt(doc, "prefetch_hits"));
-  QAG_ASSIGN_OR_RETURN(out.warm_start_loads,
-                       GetInt(doc, "warm_start_loads"));
-  QAG_ASSIGN_OR_RETURN(out.total_latency_ms,
-                       GetDouble(doc, "total_latency_ms"));
-  QAG_ASSIGN_OR_RETURN(out.max_latency_ms, GetDouble(doc, "max_latency_ms"));
-  return out;
+  return Decode<service::ServiceStats>(doc);
 }
 
 }  // namespace qagview::server

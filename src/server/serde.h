@@ -17,6 +17,8 @@
 /// response and a direct QueryService call. FromJson validates types and
 /// required fields and returns InvalidArgument — never crashes — on
 /// hostile documents; unknown fields are ignored (forward compatibility).
+/// Field names and their order come from the Fields() lists in
+/// service/api.h, which both directions walk.
 
 namespace qagview::server {
 

@@ -59,22 +59,41 @@ HttpResponse ErrorResponse(const Status& status) {
                        StatusCodeToString(status.code()), status.message());
 }
 
-/// Parses the request body, applies FromJson, calls the service, and
-/// serializes the response — the one shape every POST endpoint shares.
-template <typename Request, typename Response>
-HttpResponse HandleJson(const HttpRequest& request,
-                        Result<Request> (*from_json)(const Json&),
-                        Result<Response> (*call)(service::QueryService*,
-                                                 const Request&),
-                        service::QueryService* service) {
+/// Parses the request body, decodes it with `FromJson`, calls the service
+/// method `Call`, and serializes the response — the one shape every POST
+/// endpoint shares.
+template <auto FromJson, auto Call>
+HttpResponse HandleJson(service::QueryService* service,
+                        const HttpRequest& request) {
   Result<Json> doc = Json::Parse(request.body);
   if (!doc.ok()) return ErrorResponse(doc.status());
-  Result<Request> parsed = from_json(*doc);
+  auto parsed = FromJson(*doc);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  Result<Response> response = call(service, *parsed);
+  auto response = (service->*Call)(*parsed);
   if (!response.ok()) return ErrorResponse(response.status());
   return JsonResponse(200, ToJson(*response));
 }
+
+/// The POST endpoints: path → handler.
+struct Endpoint {
+  const char* path;
+  HttpResponse (*handle)(service::QueryService*, const HttpRequest&);
+};
+
+using service::QueryService;
+constexpr Endpoint kPostEndpoints[] = {
+    {"/query", &HandleJson<&QueryRequestFromJson, &QueryService::Query>},
+    {"/summarize",
+     &HandleJson<&SummarizeRequestFromJson, &QueryService::Summarize>},
+    {"/guidance",
+     &HandleJson<&GuidanceRequestFromJson, &QueryService::Guidance>},
+    {"/retrieve",
+     &HandleJson<&RetrieveRequestFromJson, &QueryService::Retrieve>},
+    {"/explore", &HandleJson<&ExploreRequestFromJson, &QueryService::Explore>},
+    {"/refine", &HandleJson<&RefineRequestFromJson, &QueryService::Refine>},
+    {"/append_rows",
+     &HandleJson<&AppendRowsRequestFromJson, &QueryService::AppendRows>},
+};
 
 }  // namespace
 
@@ -313,76 +332,13 @@ HttpResponse HttpServer::Dispatch(const HttpRequest& request) {
     return JsonResponse(200, std::move(body));
   }
 
-  // Everything below is POST-with-JSON-body.
-  static const char* kPostEndpoints[] = {"/query",   "/summarize",
-                                         "/guidance", "/retrieve",
-                                         "/explore",  "/refine",
-                                         "/append_rows"};
-  bool known_post = false;
-  for (const char* endpoint : kPostEndpoints) {
-    if (target == endpoint) known_post = true;
+  // Everything else is POST-with-JSON-body.
+  for (const Endpoint& endpoint : kPostEndpoints) {
+    if (target != endpoint.path) continue;
+    if (!is_post) return ErrorResponse(405, "MethodNotAllowed", "use POST");
+    return endpoint.handle(service_, request);
   }
-  if (!known_post) {
-    return ErrorResponse(404, "NotFound",
-                         StrCat("no such endpoint: ", target));
-  }
-  if (!is_post) return ErrorResponse(405, "MethodNotAllowed", "use POST");
-
-  if (target == "/query") {
-    return HandleJson<service::QueryRequest, service::QueryResponse>(
-        request, &QueryRequestFromJson,
-        +[](service::QueryService* s, const service::QueryRequest& r) {
-          return s->Query(r);
-        },
-        service_);
-  }
-  if (target == "/summarize") {
-    return HandleJson<service::SummarizeRequest, service::SummarizeResponse>(
-        request, &SummarizeRequestFromJson,
-        +[](service::QueryService* s, const service::SummarizeRequest& r) {
-          return s->Summarize(r);
-        },
-        service_);
-  }
-  if (target == "/guidance") {
-    return HandleJson<service::GuidanceRequest, service::GuidanceResponse>(
-        request, &GuidanceRequestFromJson,
-        +[](service::QueryService* s, const service::GuidanceRequest& r) {
-          return s->Guidance(r);
-        },
-        service_);
-  }
-  if (target == "/retrieve") {
-    return HandleJson<service::RetrieveRequest, service::RetrieveResponse>(
-        request, &RetrieveRequestFromJson,
-        +[](service::QueryService* s, const service::RetrieveRequest& r) {
-          return s->Retrieve(r);
-        },
-        service_);
-  }
-  if (target == "/explore") {
-    return HandleJson<service::ExploreRequest, service::ExploreResponse>(
-        request, &ExploreRequestFromJson,
-        +[](service::QueryService* s, const service::ExploreRequest& r) {
-          return s->Explore(r);
-        },
-        service_);
-  }
-  if (target == "/refine") {
-    return HandleJson<service::RefineRequest, service::RefineResponse>(
-        request, &RefineRequestFromJson,
-        +[](service::QueryService* s, const service::RefineRequest& r) {
-          return s->Refine(r);
-        },
-        service_);
-  }
-  // target == "/append_rows"
-  return HandleJson<service::AppendRowsRequest, service::AppendRowsResponse>(
-      request, &AppendRowsRequestFromJson,
-      +[](service::QueryService* s, const service::AppendRowsRequest& r) {
-        return s->AppendRows(r);
-      },
-      service_);
+  return ErrorResponse(404, "NotFound", StrCat("no such endpoint: ", target));
 }
 
 }  // namespace qagview::server

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/explore.h"
@@ -28,6 +29,11 @@
 ///  * **Transport stays out.** src/server/ serializes these structs to
 ///    JSON; the structs themselves know nothing about JSON or sockets, and
 ///    QueryService knows nothing about either (DESIGN layering rules).
+///
+/// Each struct's fields are listed once, in wire order, by its Fields()
+/// visitor at the bottom of this file; the JSON writer and reader and the
+/// service's statistics sum all walk those lists, so adding a field is a
+/// one-line change there.
 
 namespace qagview::service {
 
@@ -94,59 +100,24 @@ struct ApproxMeta {
   double max_bound = 0.0;
 };
 
-/// The ApproxMeta a finished request observed (RequestStats carries the
-/// same three facts, stamped from the same wait-free approximation() load).
-inline ApproxMeta ApproxFromStats(const RequestStats& stats) {
-  ApproxMeta out;
-  out.is_exact = !stats.approximate;
-  out.sample_fraction = stats.sample_fraction;
-  out.max_bound = stats.max_bound;
-  return out;
-}
-
 /// Opaque reference to a cached query answer set; obtained from Query().
 /// The handle itself (and the session behind it) stays valid for the
 /// service's lifetime — but the structures reached *through* it follow
-/// drain-then-evict semantics: Guidance returns a shared_ptr that pins its
-/// answer-set generation, and once a dataset update retires a generation
-/// it is destroyed as soon as the last such handle drops. Never store raw
-/// pointers extracted from those handles.
+/// drain-then-evict semantics: QueryService::GuidanceStore returns a
+/// shared_ptr that pins its answer-set generation, and once a dataset
+/// update retires a generation it is destroyed as soon as the last such
+/// handle drops. Never store raw pointers extracted from those handles.
 using QueryHandle = int64_t;
-
-/// Query() response: the handle plus the answer-set shape.
-struct QueryInfo {
-  QueryHandle handle = -1;
-  int num_answers = 0;  // n — ranked tuples in the answer set
-  int num_attrs = 0;    // m — grouping attributes
-  RequestStats stats;   // cache_hit = an existing session was reused
-  /// Provenance of the published answer set at response time. An
-  /// approx-first handle starts with is_exact == false and flips to true
-  /// once background refinement republishes the exact generation.
-  bool is_exact = true;
-  double sample_fraction = 1.0;  // n / N (1.0 when exact)
-  double max_bound = 0.0;        // largest per-answer CI half-width
-  double confidence = 0.0;       // bound confidence level (0 when exact)
-};
-
-/// Explore() response: the solution with both display layers rendered
-/// (Figures 1b/1c).
-struct ExploreResult {
-  core::Solution solution;
-  core::TwoLayerView view;
-  std::string summary;   // first layer (RenderSummary)
-  std::string expanded;  // second layer (RenderExpanded, bounded members)
-  RequestStats stats;
-};
 
 // --- Request/response pairs ----------------------------------------------
 
 /// Executes an aggregate query and opens (or reuses) the session over its
-/// ranked answers — the struct form of Query(sql, value_column, options).
+/// ranked answers.
 struct QueryRequest {
   std::string sql;
   /// The aggregate output column to rank by.
   std::string value_column;
-  QueryOptions options;
+  QueryOptions options{};
 };
 
 struct QueryResponse {
@@ -175,7 +146,7 @@ struct SummarizeResponse {
 struct GuidanceRequest {
   QueryHandle handle = -1;
   int top_l = 0;
-  core::PrecomputeOptions options;
+  core::PrecomputeOptions options{};
 };
 
 /// The grid's shape: everything a client needs to drive Retrieve()
@@ -307,6 +278,229 @@ struct ServiceStats {
            retrieve_requests + explore_requests + refine_requests;
   }
 };
+
+// --- Field lists -----------------------------------------------------------
+//
+// Fields(s, v) calls v(name, field) for every field of `s`, in wire order,
+// with `field` a reference into `s` (const iff `s` is). A field the reader
+// may find absent is passed as v(name, field, Presence::kOptional) and
+// keeps its default then. The visitor is any callable: nothing here knows
+// about JSON.
+
+/// Whether a reader must find a field.
+enum class Presence { kRequired, kOptional };
+
+/// Return type enabling a Fields overload for both `T` and `const T`.
+template <typename S, typename T>
+using FieldsOf = std::enable_if_t<std::is_same_v<std::remove_const_t<S>, T>>;
+
+template <typename S, typename V>
+FieldsOf<S, QueryOptions> Fields(S& s, V&& v) {
+  v("mode", s.mode);
+  v("confidence", s.confidence);
+}
+
+/// core::PrecomputeOptions::num_threads is a per-process execution knob,
+/// not request content: it never changes the resulting store, so it is
+/// not listed.
+template <typename S, typename V>
+FieldsOf<S, core::PrecomputeOptions> Fields(S& s, V&& v) {
+  v("k_min", s.k_min);
+  v("k_max", s.k_max);
+  v("d_values", s.d_values);
+  v("c", s.c);
+  v("use_delta_judgment", s.use_delta_judgment);
+}
+
+template <typename S, typename V>
+FieldsOf<S, core::Params> Fields(S& s, V&& v) {
+  v("k", s.k);
+  v("L", s.L);
+  v("D", s.D);
+}
+
+template <typename S, typename V>
+FieldsOf<S, core::Solution> Fields(S& s, V&& v) {
+  v("cluster_ids", s.cluster_ids);
+  v("covered_sum", s.covered_sum);
+  v("covered_count", s.covered_count);
+  v("average", s.average);
+  v("covered_min", s.covered_min);
+}
+
+template <typename S, typename V>
+FieldsOf<S, core::ClusterView> Fields(S& s, V&& v) {
+  v("cluster_id", s.cluster_id);
+  v("pattern", s.pattern);
+  v("average", s.average);
+  v("count", s.count);
+  v("top_count", s.top_count);
+  v("member_ranks", s.member_ranks);
+}
+
+template <typename S, typename V>
+FieldsOf<S, core::TwoLayerView> Fields(S& s, V&& v) {
+  v("clusters", s.clusters);
+  v("solution_average", s.solution_average);
+  v("solution_count", s.solution_count);
+}
+
+template <typename S, typename V>
+FieldsOf<S, RequestStats> Fields(S& s, V&& v) {
+  v("latency_ms", s.latency_ms);
+  v("cache_hit", s.cache_hit);
+  v("coalesced", s.coalesced);
+  v("built", s.built);
+  v("refreshed", s.refreshed);
+  v("approximate", s.approximate);
+  v("sample_fraction", s.sample_fraction);
+  v("max_bound", s.max_bound);
+}
+
+template <typename S, typename V>
+FieldsOf<S, ApproxMeta> Fields(S& s, V&& v) {
+  v("is_exact", s.is_exact);
+  v("sample_fraction", s.sample_fraction);
+  v("max_bound", s.max_bound);
+}
+
+template <typename S, typename V>
+FieldsOf<S, QueryRequest> Fields(S& s, V&& v) {
+  v("sql", s.sql);
+  v("value_column", s.value_column);
+  // Absent: a bare {sql, value_column} request is exact-only.
+  v("options", s.options, Presence::kOptional);
+}
+
+template <typename S, typename V>
+FieldsOf<S, QueryResponse> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+  v("num_answers", s.num_answers);
+  v("num_attrs", s.num_attrs);
+  v("confidence", s.confidence);
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, SummarizeRequest> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+  v("params", s.params);
+}
+
+template <typename S, typename V>
+FieldsOf<S, SummarizeResponse> Fields(S& s, V&& v) {
+  v("solution", s.solution);
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, GuidanceRequest> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+  v("top_l", s.top_l);
+  // Absent: the default grid, as for a default-constructed request.
+  v("options", s.options, Presence::kOptional);
+}
+
+template <typename S, typename V>
+FieldsOf<S, GuidanceResponse> Fields(S& s, V&& v) {
+  v("store_l", s.store_l);
+  v("k_max", s.k_max);
+  v("d_values", s.d_values);
+  v("min_ks", s.min_ks);
+  v("num_intervals", s.num_intervals);
+  v("naive_entries", s.naive_entries);
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, RetrieveRequest> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+  v("top_l", s.top_l);
+  v("d", s.d);
+  v("k", s.k);
+}
+
+template <typename S, typename V>
+FieldsOf<S, RetrieveResponse> Fields(S& s, V&& v) {
+  v("solution", s.solution);
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, ExploreRequest> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+  v("params", s.params);
+  v("max_members", s.max_members, Presence::kOptional);
+}
+
+template <typename S, typename V>
+FieldsOf<S, ExploreResponse> Fields(S& s, V&& v) {
+  v("solution", s.solution);
+  v("view", s.view);
+  v("summary", s.summary);
+  v("expanded", s.expanded);
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, RefineRequest> Fields(S& s, V&& v) {
+  v("handle", s.handle);
+}
+
+template <typename S, typename V>
+FieldsOf<S, RefineResponse> Fields(S& s, V&& v) {
+  v("approx", s.approx);
+  v("stats", s.stats);
+}
+
+template <typename S, typename V>
+FieldsOf<S, AppendRowsRequest> Fields(S& s, V&& v) {
+  v("dataset", s.dataset);
+  v("rows", s.rows);
+}
+
+template <typename S, typename V>
+FieldsOf<S, AppendRowsResponse> Fields(S& s, V&& v) {
+  v("version", s.version);
+  v("stats", s.stats);
+}
+
+/// requests() is derived, not a field: the JSON writer appends it.
+template <typename S, typename V>
+FieldsOf<S, ServiceStats> Fields(S& s, V&& v) {
+  v("datasets", s.datasets);
+  v("sessions", s.sessions);
+  v("queries", s.queries);
+  v("query_cache_hits", s.query_cache_hits);
+  v("query_coalesced", s.query_coalesced);
+  v("summarize_requests", s.summarize_requests);
+  v("guidance_requests", s.guidance_requests);
+  v("retrieve_requests", s.retrieve_requests);
+  v("explore_requests", s.explore_requests);
+  v("cache_hits", s.cache_hits);
+  v("coalesced_waits", s.coalesced_waits);
+  v("builds", s.builds);
+  v("refreshes", s.refreshes);
+  v("refresh_full_reuses", s.refresh_full_reuses);
+  v("approx_queries", s.approx_queries);
+  v("approx_served", s.approx_served);
+  v("refine_requests", s.refine_requests);
+  v("refinements", s.refinements);
+  v("refinements_superseded", s.refinements_superseded);
+  v("graveyard_size", s.graveyard_size);
+  v("live_generations", s.live_generations);
+  v("generations_evicted", s.generations_evicted);
+  v("prefetch_issued", s.prefetch_issued);
+  v("prefetch_hits", s.prefetch_hits);
+  v("warm_start_loads", s.warm_start_loads);
+  v("total_latency_ms", s.total_latency_ms);
+  v("max_latency_ms", s.max_latency_ms);
+}
 
 }  // namespace qagview::service
 

@@ -16,13 +16,9 @@ namespace qagview::service {
 /// *changes* per move kind, and this class turns them into concrete,
 /// in-range, deduplicated target levels for a session with `num_answers`
 /// ranked answers. Stateless and immutable, so one instance serves every
-/// session and thread.
+/// session and thread. Each observed move yields at most two levels.
 class ExplorationPredictor {
  public:
-  /// `max_predictions` bounds the speculative builds issued per observed
-  /// move (clamped to >= 1).
-  explicit ExplorationPredictor(int max_predictions = 2);
-
   /// Levels to prefetch after a move of `kind` at `level`. In model
   /// order (most probable first); every entry is in [1, num_answers] and
   /// differs from `level` (the current level's structures are warm by
@@ -34,11 +30,6 @@ class ExplorationPredictor {
   /// session — warming these makes the session's very first Summarize a
   /// warm read. Same clamping rules as NextLevels.
   std::vector<int> InitialLevels(int num_answers) const;
-
-  int max_predictions() const { return max_predictions_; }
-
- private:
-  int max_predictions_;
 };
 
 }  // namespace qagview::service

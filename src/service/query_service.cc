@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,12 +16,43 @@ namespace qagview::service {
 
 namespace {
 
+/// Stamps the provenance of the answer-set generation that served a
+/// request onto its stats and its response's ApproxMeta.
+void Stamp(const core::Approximation& served, RequestStats* rs,
+           ApproxMeta* meta) {
+  rs->approximate = !served.is_exact;
+  rs->sample_fraction = served.sample_fraction;
+  rs->max_bound = served.max_bound;
+  meta->is_exact = served.is_exact;
+  meta->sample_fraction = served.sample_fraction;
+  meta->max_bound = served.max_bound;
+}
+
 /// Folds a core-session trace into the request's stats (which may already
-/// carry refresh/coalesce flags from EnsureFresh).
-void MergeTrace(const core::Session::RequestTrace& trace, RequestStats* rs) {
+/// carry refresh/coalesce flags from EnsureFresh) and provenance.
+void MergeTrace(const core::Session::RequestTrace& trace, RequestStats* rs,
+                ApproxMeta* meta) {
   rs->cache_hit = trace.cache_hit;
   rs->coalesced = rs->coalesced || trace.coalesced;
   rs->built = trace.built;
+  Stamp(trace.approximation, rs, meta);
+}
+
+/// Adds `part` into `total` field by field; max_latency_ms takes the
+/// maximum. Both walks visit the same field list, so the i-th field of
+/// one is the i-th field of the other.
+void Accumulate(const ServiceStats& part, ServiceStats* total) {
+  std::vector<const void*> parts;
+  Fields(part, [&parts](const char*, const auto& field) {
+    parts.push_back(&field);
+  });
+  size_t i = 0;
+  Fields(*total, [&](const char* name, auto& sum) {
+    const auto& add =
+        *static_cast<const std::decay_t<decltype(sum)>*>(parts[i++]);
+    sum = std::string_view(name) == "max_latency_ms" ? std::max(sum, add)
+                                                     : sum + add;
+  });
 }
 
 DatasetCatalogOptions CatalogOptionsFor(const ServiceOptions& options) {
@@ -45,7 +78,6 @@ QueryService::QueryService(ServiceOptions options)
     : options_(std::move(options)),
       datasets_(CatalogOptionsFor(options_)),
       registry_(std::make_shared<const Registry>()),
-      predictor_(options_.prefetch_predictions),
       scheduler_(options_.background_threads) {}
 
 Status QueryService::RegisterTable(const std::string& name,
@@ -58,22 +90,15 @@ Status QueryService::RegisterCsvFile(const std::string& name,
   return datasets_.RegisterCsvFile(name, path);
 }
 
-Result<uint64_t> QueryService::AppendRows(
-    const std::string& name,
-    const std::vector<std::vector<storage::Value>>& rows) {
-  Result<uint64_t> version = datasets_.AppendRows(name, rows);
-  // The catalog moved: every queued speculative task tokened below the new
-  // version was predicted against data that no longer exists. Drop it at
-  // the queue instead of letting it build caches a refresh will retire.
-  if (version.ok()) scheduler_.InvalidateBelow(*version);
-  return version;
-}
-
 Result<AppendRowsResponse> QueryService::AppendRows(
     const AppendRowsRequest& request) {
   WallTimer timer;
   QAG_ASSIGN_OR_RETURN(uint64_t version,
-                       AppendRows(request.dataset, request.rows));
+                       datasets_.AppendRows(request.dataset, request.rows));
+  // The catalog moved: every queued speculative task tokened below the new
+  // version was predicted against data that no longer exists. Drop it at
+  // the queue instead of letting it build caches a refresh will retire.
+  scheduler_.InvalidateBelow(version);
   AppendRowsResponse out;
   out.version = version;
   out.stats.latency_ms = timer.ElapsedMillis();
@@ -95,14 +120,9 @@ uint64_t QueryService::catalog_version() const {
   return datasets_.version();
 }
 
-Result<QueryInfo> QueryService::Query(const std::string& sql,
-                                      const std::string& value_column) {
-  return Query(sql, value_column, QueryOptions());
-}
-
-Result<QueryInfo> QueryService::Query(const std::string& sql,
-                                      const std::string& value_column,
-                                      const QueryOptions& options) {
+template <typename Response, typename Run>
+Result<Response> QueryService::Serve(int64_t ServiceStats::*requests,
+                                     Run run) {
   WallTimer timer;
   // Foreground gate: while any serving request is in flight, the scheduler
   // parks its prefetch lane, so speculation can never delay the answer the
@@ -110,17 +130,27 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
   // makes the guard a no-op with zero atomics.
   BackgroundScheduler::ForegroundGuard fg(
       options_.prefetch ? &scheduler_ : nullptr);
-  const std::string trimmed(StripWhitespace(sql));
   RequestStats rs;
-  if (trimmed.empty()) {
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
-    return Status::InvalidArgument("empty SQL text");
-  }
+  Result<Response> response = run(&rs);
+  rs.latency_ms = timer.ElapsedMillis();
+  Record(requests, rs);
+  if (response.ok()) response->stats = rs;
+  return response;
+}
+
+Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
+  return Serve<QueryResponse>(&ServiceStats::queries, [&](RequestStats* rs) {
+    return RunQuery(request, rs);
+  });
+}
+
+Result<QueryResponse> QueryService::RunQuery(const QueryRequest& request,
+                                             RequestStats* rs) {
+  const QueryOptions& options = request.options;
+  const std::string trimmed(StripWhitespace(request.sql));
+  if (trimmed.empty()) return Status::InvalidArgument("empty SQL text");
   if (options.mode != QueryMode::kExactOnly &&
       !(options.confidence > 0.0 && options.confidence < 1.0)) {
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
     return Status::InvalidArgument(
         "QueryOptions::confidence must be in (0, 1)");
   }
@@ -129,26 +159,25 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
   // mode tag and confidence, so an exact-mode key (and its cached session)
   // is exactly what it was before modes existed. '\x1f' cannot occur in
   // any part.
-  std::string key = trimmed + '\x1f' + ToLower(value_column);
+  std::string key = trimmed + '\x1f' + ToLower(request.value_column);
   if (options.mode != QueryMode::kExactOnly) {
     key += '\x1f';
     key += ModeTag(options.mode);
     key += '\x1f';
     key += FormatDouble(options.confidence, 6);
   }
-  // Reports the published answer set's shape and provenance (one wait-free
-  // answers() load covers both).
-  auto fill_info = [](const SessionEntry& entry, QueryHandle handle,
-                      QueryInfo* info) {
-    info->handle = handle;
+  // Reports the published answer set's shape and provenance: one
+  // wait-free answers() load covers both, so they always agree.
+  auto respond = [rs](const SessionEntry& entry, QueryHandle handle) {
+    QueryResponse out;
+    out.handle = handle;
     std::shared_ptr<const core::AnswerSet> answers = entry.session->answers();
-    info->num_answers = answers->size();
-    info->num_attrs = answers->num_attrs();
+    out.num_answers = answers->size();
+    out.num_attrs = answers->num_attrs();
     const core::Approximation& approx = answers->approximation();
-    info->is_exact = approx.is_exact;
-    info->sample_fraction = approx.sample_fraction;
-    info->max_bound = approx.max_bound;
-    info->confidence = approx.confidence;
+    out.confidence = approx.confidence;
+    Stamp(approx, rs, &out.approx);
+    return out;
   };
   while (true) {
     {
@@ -163,26 +192,16 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       }
       if (entry != nullptr) {
         // Bring a stale handle up to date before reporting its shape.
-        Status fresh = EnsureFresh(entry, &rs);
-        if (!fresh.ok()) {
-          rs.latency_ms = timer.ElapsedMillis();
-          Record(RequestKind::kQuery, rs);
-          return fresh;
-        }
-        QueryInfo info;
-        fill_info(*entry, handle, &info);
-        if (entry->mode == QueryMode::kApproxFirst && !info.is_exact) {
+        QAG_RETURN_IF_ERROR(EnsureFresh(entry, rs));
+        QueryResponse out = respond(*entry, handle);
+        if (entry->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
           // Safety net: re-arm refinement if the set is still approximate
           // (e.g. a refresh republished an approximate generation, or an
           // earlier refinement errored). Deduplicated, never blocking.
           ScheduleRefinement(entry);
         }
-        if (!rs.coalesced && !rs.refreshed) rs.cache_hit = true;
-        StampApproximation(entry, &rs);
-        rs.latency_ms = timer.ElapsedMillis();
-        info.stats = rs;
-        Record(RequestKind::kQuery, rs);
-        return info;
+        if (!rs->coalesced && !rs->refreshed) rs->cache_hit = true;
+        return out;
       }
     }
     // Miss: lead the execution, or join an identical in-flight one.
@@ -203,16 +222,11 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       }
     }
     if (!leader) {
-      rs.coalesced = true;
-      Status status = flight->Wait();
-      if (!status.ok()) {
-        rs.latency_ms = timer.ElapsedMillis();
-        Record(RequestKind::kQuery, rs);
-        return status;
-      }
+      rs->coalesced = true;
+      QAG_RETURN_IF_ERROR(flight->Wait());
       continue;  // the leader published the session; serve from cache
     }
-    rs.built = true;
+    rs->built = true;
     // Execute outside the lock: SQL + answer-set materialization are the
     // expensive part, and the pinned catalog snapshot stays valid
     // regardless of concurrent dataset updates (snapshots are immutable).
@@ -221,7 +235,7 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       CatalogSnapshot snapshot = datasets_.Snapshot();
       QAG_ASSIGN_OR_RETURN(
           BuiltAnswers built,
-          BuildAnswers(trimmed, value_column, options.mode,
+          BuildAnswers(trimmed, request.value_column, options.mode,
                        options.confidence, /*require_exact=*/false,
                        snapshot));
       QAG_ASSIGN_OR_RETURN(std::unique_ptr<core::Session> session,
@@ -231,7 +245,7 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       entry->session = std::move(session);
       entry->key = key;
       entry->sql = trimmed;
-      entry->value_column = value_column;
+      entry->value_column = request.value_column;
       entry->mode = options.mode;
       entry->confidence = options.confidence;
       // The tables the execution actually resolved, at the versions the
@@ -259,15 +273,9 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
       query_flights_.erase(key);
     }
     flight->Finish(outcome.ok() ? Status::OK() : outcome.status());
-    if (!outcome.ok()) {
-      rs.latency_ms = timer.ElapsedMillis();
-      Record(RequestKind::kQuery, rs);
-      return outcome.status();
-    }
-    QueryInfo info;
-    fill_info(*published, *outcome, &info);
-    StampApproximation(published, &rs);
-    if (published->mode == QueryMode::kApproxFirst && !info.is_exact) {
+    QAG_RETURN_IF_ERROR(outcome.status());
+    QueryResponse out = respond(*published, *outcome);
+    if (published->mode == QueryMode::kApproxFirst && !out.approx.is_exact) {
       // Two-phase publication, phase two: the exact build runs in the
       // background and republishes through the refresh machinery; this
       // (foreground) response returns the approximate set now.
@@ -279,10 +287,7 @@ Result<QueryInfo> QueryService::Query(const std::string& sql,
     // background tasks; neither delays this response.
     ScheduleWarmStartLoad(published);
     SchedulePrefetch(published, study::MoveKind::kQuery, /*level=*/0);
-    rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kQuery, rs);
-    info.stats = rs;
-    return info;
+    return out;
   }
 }
 
@@ -347,6 +352,14 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
   auto needs_upgrade = [&] {
     return require_exact && !entry->session->approximation().is_exact;
   };
+  // Whether one of *this* query's input tables moved past the version its
+  // answer set was built from. Caller holds mu_ (deps are guarded by it).
+  auto deps_stale = [&] {
+    for (const auto& [name, version] : entry->deps) {
+      if (datasets_.TableVersion(name) != version) return true;
+    }
+    return false;
+  };
   // Warm fast path: the catalog version still equals the version this
   // entry was last verified fresh at, so no dataset — of any name — has
   // changed since, and no upgrade is owed. Two relaxed-cost atomic loads
@@ -367,12 +380,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
     bool stale = false;
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      for (const auto& [name, version] : entry->deps) {
-        if (datasets_.TableVersion(name) != version) {
-          stale = true;
-          break;
-        }
-      }
+      stale = deps_stale();
     }
     if (!stale && !needs_upgrade()) {
       // Verified fresh as of `observed_version`, which was read *before*
@@ -395,13 +403,7 @@ Status QueryService::Reconcile(SessionEntry* entry, bool require_exact,
       // Recheck under the exclusive lock: a rebuild that completed since
       // the fast check already updated the deps / published exact.
       const uint64_t recheck_version = datasets_.version();
-      stale = false;
-      for (const auto& [name, version] : entry->deps) {
-        if (datasets_.TableVersion(name) != version) {
-          stale = true;
-          break;
-        }
-      }
+      stale = deps_stale();
       upgrade = needs_upgrade();
       if (!stale && !upgrade) {
         entry->fresh_at.store(recheck_version, std::memory_order_release);
@@ -501,249 +503,123 @@ void QueryService::ScheduleRefinement(SessionEntry* entry) {
       std::lock_guard<std::mutex> lock(shard.mu);
       ++shard.stats.refinements_superseded;
     }
-    StampApproximation(entry, &rs);
     rs.latency_ms = timer.ElapsedMillis();
-    Record(RequestKind::kRefine, rs);
+    Record(&ServiceStats::refine_requests, rs);
   };
   scheduler_.Submit(BackgroundScheduler::Lane::kRefinement, /*token=*/0,
                     std::move(task));
 }
 
-void QueryService::StampApproximation(SessionEntry* entry, RequestStats* rs) {
-  if (rs == nullptr) return;
-  const core::Approximation approx = entry->session->approximation();
-  rs->approximate = !approx.is_exact;
-  rs->sample_fraction = approx.sample_fraction;
-  rs->max_bound = approx.max_bound;
-}
-
-Status QueryService::Refine(QueryHandle handle, RequestStats* stats) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Status {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/true, &rs));
-    StampApproximation(entry, &rs);
-    return Status::OK();
-  };
-  Status status = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kRefine, rs);
-  if (stats != nullptr) *stats = rs;
-  return status;
-}
-
-Result<core::Solution> QueryService::Summarize(QueryHandle handle,
-                                               const core::Params& params,
-                                               RequestStats* stats) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<core::Solution> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
-    core::Session::RequestTrace trace;
-    Result<core::Solution> solution =
-        entry->session->Summarize(params, core::HybridOptions(), &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    if (solution.ok()) {
-      CountPrefetchHit(entry, params.L, /*want_store=*/false, rs);
-      SchedulePrefetch(entry, study::MoveKind::kSummarize, params.L);
-    }
-    return solution;
-  };
-  Result<core::Solution> solution = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kSummarize, rs);
-  if (stats != nullptr) *stats = rs;
-  return solution;
-}
-
-Result<std::shared_ptr<const core::SolutionStore>> QueryService::Guidance(
-    QueryHandle handle, int top_l, const core::PrecomputeOptions& options,
-    RequestStats* stats) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<std::shared_ptr<const core::SolutionStore>> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
-    core::Session::RequestTrace trace;
-    Result<std::shared_ptr<const core::SolutionStore>> store =
-        entry->session->Guidance(top_l, options, &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    if (store.ok()) {
-      CountPrefetchHit(entry, top_l, /*want_store=*/true, rs);
-      SchedulePrefetch(entry, study::MoveKind::kGuidance, top_l);
-      // A foreground-built exact grid is exactly what the next process
-      // start wants warm: persist it (best-effort, off the hot path).
-      if (rs.built && !rs.approximate) ScheduleSnapshotWrite(entry, top_l);
-    }
-    return store;
-  };
-  Result<std::shared_ptr<const core::SolutionStore>> store = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kGuidance, rs);
-  if (stats != nullptr) *stats = rs;
-  return store;
-}
-
-Result<core::Solution> QueryService::Retrieve(QueryHandle handle, int top_l,
-                                              int d, int k,
-                                              RequestStats* stats) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<core::Solution> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
-    core::Session::RequestTrace trace;
-    Result<core::Solution> solution =
-        entry->session->Retrieve(top_l, d, k, &trace);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    return solution;
-  };
-  Result<core::Solution> solution = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kRetrieve, rs);
-  if (stats != nullptr) *stats = rs;
-  return solution;
-}
-
-Result<ExploreResult> QueryService::Explore(QueryHandle handle,
-                                            const core::Params& params,
-                                            int max_members) {
-  WallTimer timer;
-  BackgroundScheduler::ForegroundGuard fg(
-      options_.prefetch ? &scheduler_ : nullptr);
-  RequestStats rs;
-  auto run = [&]() -> Result<ExploreResult> {
-    QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
-    QAG_RETURN_IF_ERROR(EnsureFresh(entry, &rs));
-    core::Session::RequestTrace trace;
-    ExploreResult result;
-    // Render against the exact universe that produced the solution — a
-    // second UniverseFor(params.L) lookup could return a narrower
-    // universe published concurrently, in which the solution's cluster
-    // ids would be meaningless. The handle also pins the universe's
-    // generation while the layers render, even if a refresh lands.
-    std::shared_ptr<const core::ClusterUniverse> universe;
-    QAG_ASSIGN_OR_RETURN(
-        result.solution,
-        entry->session->SummarizeWith(params, &universe,
-                                      core::HybridOptions(), &trace));
-    result.view = core::BuildTwoLayerView(*universe, result.solution);
-    result.summary = core::RenderSummary(*universe, result.solution);
-    result.expanded =
-        core::RenderExpanded(*universe, result.solution, max_members);
-    MergeTrace(trace, &rs);
-    StampApproximation(entry, &rs);
-    CountPrefetchHit(entry, params.L, /*want_store=*/false, rs);
-    SchedulePrefetch(entry, study::MoveKind::kExplore, params.L);
-    return result;
-  };
-  Result<ExploreResult> result = run();
-  rs.latency_ms = timer.ElapsedMillis();
-  Record(RequestKind::kExplore, rs);
-  if (result.ok()) result->stats = rs;
-  return result;
-}
-
-// --- Struct forms: thin wrappers over the signatures above, packaging the
-// identical behaviour (including stats recording) into serializable
-// responses with uniform provenance. ----------------------------------------
-
-Result<QueryResponse> QueryService::Query(const QueryRequest& request) {
-  QAG_ASSIGN_OR_RETURN(
-      QueryInfo info,
-      Query(request.sql, request.value_column, request.options));
-  QueryResponse out;
-  out.handle = info.handle;
-  out.num_answers = info.num_answers;
-  out.num_attrs = info.num_attrs;
-  out.confidence = info.confidence;
-  out.approx.is_exact = info.is_exact;
-  out.approx.sample_fraction = info.sample_fraction;
-  out.approx.max_bound = info.max_bound;
-  out.stats = info.stats;
-  return out;
-}
-
 Result<RefineResponse> QueryService::Refine(const RefineRequest& request) {
-  RequestStats rs;
-  QAG_RETURN_IF_ERROR(Refine(request.handle, &rs));
-  RefineResponse out;
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
+  return Serve<RefineResponse>(
+      &ServiceStats::refine_requests,
+      [&](RequestStats* rs) -> Result<RefineResponse> {
+        QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+        QAG_RETURN_IF_ERROR(Reconcile(entry, /*require_exact=*/true, rs));
+        RefineResponse out;
+        Stamp(entry->session->approximation(), rs, &out.approx);
+        return out;
+      });
 }
 
 Result<SummarizeResponse> QueryService::Summarize(
     const SummarizeRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(core::Solution solution,
-                       Summarize(request.handle, request.params, &rs));
-  SummarizeResponse out;
-  out.solution = std::move(solution);
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
+  return Serve<SummarizeResponse>(
+      &ServiceStats::summarize_requests,
+      [&](RequestStats* rs) -> Result<SummarizeResponse> {
+        QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+        QAG_RETURN_IF_ERROR(EnsureFresh(entry, rs));
+        core::Session::RequestTrace trace;
+        SummarizeResponse out;
+        Result<core::Solution> solution = entry->session->Summarize(
+            request.params, core::HybridOptions(), &trace);
+        MergeTrace(trace, rs, &out.approx);
+        QAG_ASSIGN_OR_RETURN(out.solution, std::move(solution));
+        CountPrefetchHit(entry, request.params.L, /*want_store=*/false, *rs);
+        SchedulePrefetch(entry, study::MoveKind::kSummarize, request.params.L);
+        return out;
+      });
 }
 
 Result<GuidanceResponse> QueryService::Guidance(
     const GuidanceRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::SolutionStore> store,
-      Guidance(request.handle, request.top_l, request.options, &rs));
-  GuidanceResponse out;
-  out.store_l = store->l();
-  out.k_max = store->k_max();
-  out.d_values = store->d_values();
-  for (int d : out.d_values) {
-    QAG_ASSIGN_OR_RETURN(int min_k, store->MinK(d));
-    out.min_ks.push_back(min_k);
-  }
-  out.num_intervals = store->num_intervals();
-  out.naive_entries = store->naive_entries();
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
+  return Serve<GuidanceResponse>(
+      &ServiceStats::guidance_requests,
+      [&](RequestStats* rs) -> Result<GuidanceResponse> {
+        QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+        QAG_RETURN_IF_ERROR(EnsureFresh(entry, rs));
+        core::Session::RequestTrace trace;
+        GuidanceResponse out;
+        Result<std::shared_ptr<const core::SolutionStore>> store =
+            entry->session->Guidance(request.top_l, request.options, &trace);
+        MergeTrace(trace, rs, &out.approx);
+        QAG_RETURN_IF_ERROR(store.status());
+        CountPrefetchHit(entry, request.top_l, /*want_store=*/true, *rs);
+        SchedulePrefetch(entry, study::MoveKind::kGuidance, request.top_l);
+        // A foreground-built exact grid is exactly what the next process
+        // start wants warm: persist it (best-effort, off the hot path).
+        if (rs->built && !rs->approximate) {
+          ScheduleSnapshotWrite(entry, request.top_l);
+        }
+        // Over a transport only the grid's shape travels; Retrieve()
+        // serves the individual solutions.
+        const core::SolutionStore& grid = **store;
+        out.store_l = grid.l();
+        out.k_max = grid.k_max();
+        out.d_values = grid.d_values();
+        for (int d : out.d_values) {
+          QAG_ASSIGN_OR_RETURN(int min_k, grid.MinK(d));
+          out.min_ks.push_back(min_k);
+        }
+        out.num_intervals = grid.num_intervals();
+        out.naive_entries = grid.naive_entries();
+        return out;
+      });
 }
 
 Result<RetrieveResponse> QueryService::Retrieve(
     const RetrieveRequest& request) {
-  RequestStats rs;
-  QAG_ASSIGN_OR_RETURN(
-      core::Solution solution,
-      Retrieve(request.handle, request.top_l, request.d, request.k, &rs));
-  RetrieveResponse out;
-  out.solution = std::move(solution);
-  out.approx = ApproxFromStats(rs);
-  out.stats = rs;
-  return out;
+  return Serve<RetrieveResponse>(
+      &ServiceStats::retrieve_requests,
+      [&](RequestStats* rs) -> Result<RetrieveResponse> {
+        QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+        QAG_RETURN_IF_ERROR(EnsureFresh(entry, rs));
+        core::Session::RequestTrace trace;
+        RetrieveResponse out;
+        Result<core::Solution> solution = entry->session->Retrieve(
+            request.top_l, request.d, request.k, &trace);
+        MergeTrace(trace, rs, &out.approx);
+        QAG_ASSIGN_OR_RETURN(out.solution, std::move(solution));
+        return out;
+      });
 }
 
 Result<ExploreResponse> QueryService::Explore(const ExploreRequest& request) {
-  QAG_ASSIGN_OR_RETURN(
-      ExploreResult result,
-      Explore(request.handle, request.params, request.max_members));
-  ExploreResponse out;
-  out.solution = std::move(result.solution);
-  out.view = std::move(result.view);
-  out.summary = std::move(result.summary);
-  out.expanded = std::move(result.expanded);
-  out.approx = ApproxFromStats(result.stats);
-  out.stats = result.stats;
-  return out;
+  return Serve<ExploreResponse>(
+      &ServiceStats::explore_requests,
+      [&](RequestStats* rs) -> Result<ExploreResponse> {
+        QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(request.handle));
+        QAG_RETURN_IF_ERROR(EnsureFresh(entry, rs));
+        core::Session::RequestTrace trace;
+        ExploreResponse out;
+        // Render against the exact universe that produced the solution — a
+        // second UniverseFor(params.L) lookup could return a narrower
+        // universe published concurrently, in which the solution's cluster
+        // ids would be meaningless. The handle also pins the universe's
+        // generation while the layers render, even if a refresh lands.
+        std::shared_ptr<const core::ClusterUniverse> universe;
+        Result<core::Solution> solution = entry->session->SummarizeWith(
+            request.params, &universe, core::HybridOptions(), &trace);
+        MergeTrace(trace, rs, &out.approx);
+        QAG_ASSIGN_OR_RETURN(out.solution, std::move(solution));
+        out.view = core::BuildTwoLayerView(*universe, out.solution);
+        out.summary = core::RenderSummary(*universe, out.solution);
+        out.expanded = core::RenderExpanded(*universe, out.solution,
+                                            request.max_members);
+        CountPrefetchHit(entry, request.params.L, /*want_store=*/false, *rs);
+        SchedulePrefetch(entry, study::MoveKind::kExplore, request.params.L);
+        return out;
+      });
 }
 
 // --- Typed per-handle accessors (the narrow replacements for the removed
@@ -755,6 +631,13 @@ Result<std::shared_ptr<const core::AnswerSet>> QueryService::Answers(
   QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
   QAG_RETURN_IF_ERROR(EnsureFresh(entry, /*rs=*/nullptr));
   return entry->session->answers();
+}
+
+Result<std::shared_ptr<const core::SolutionStore>> QueryService::GuidanceStore(
+    QueryHandle handle, int top_l, const core::PrecomputeOptions& options) {
+  QAG_ASSIGN_OR_RETURN(SessionEntry* entry, Lookup(handle));
+  QAG_RETURN_IF_ERROR(EnsureFresh(entry, /*rs=*/nullptr));
+  return entry->session->Guidance(top_l, options);
 }
 
 Status QueryService::SaveGuidance(QueryHandle handle, int top_l,
@@ -854,17 +737,10 @@ void QueryService::ScheduleWarmStartLoad(SessionEntry* entry) {
   auto task = [this, entry, path] {
     Result<WarmStartSnapshot> snap = ReadWarmStartSnapshot(path);
     if (!snap.ok()) return;  // absent, truncated, or damaged: stay cold
-    core::Session::GuidanceSnapshot gs;
-    gs.store_l = snap->store_l;
-    gs.content_fingerprint = snap->content_fingerprint;
-    gs.domain_fingerprint = snap->domain_fingerprint;
-    gs.num_answers = snap->num_answers;
-    gs.num_attrs = snap->num_attrs;
-    gs.payload = std::move(snap->payload);
     // A snapshot from a different query, catalog state, or a damaged
     // payload fails validation inside the session and leaves it cold —
     // a wrong answer is never possible, only a missed warm start.
-    if (entry->session->LoadGuidanceSnapshot(gs).ok()) {
+    if (entry->session->LoadGuidanceSnapshot(snap->grid).ok()) {
       Bump(&ServiceStats::warm_start_loads);
     }
   };
@@ -880,17 +756,12 @@ void QueryService::ScheduleSnapshotWrite(SessionEntry* entry, int top_l) {
     // Never persist estimates: an approximate grid would warm-start a
     // future exact session with sampled values.
     if (!entry->session->approximation().is_exact) return;
-    Result<core::Session::GuidanceSnapshot> gs =
+    Result<core::Session::GuidanceSnapshot> grid =
         entry->session->SnapshotGuidance(top_l);
-    if (!gs.ok()) return;
+    if (!grid.ok()) return;
     WarmStartSnapshot snap;
     snap.catalog_version = entry->fresh_at.load(std::memory_order_acquire);
-    snap.content_fingerprint = gs->content_fingerprint;
-    snap.domain_fingerprint = gs->domain_fingerprint;
-    snap.num_answers = gs->num_answers;
-    snap.num_attrs = gs->num_attrs;
-    snap.store_l = gs->store_l;
-    snap.payload = std::move(gs->payload);
+    snap.grid = std::move(grid).value();
     // Best-effort: a failed write (full disk, unwritable dir) costs the
     // next process a cold build, nothing else.
     Status written = WriteWarmStartSnapshot(path, snap);
@@ -912,37 +783,20 @@ BackgroundScheduler::Counters QueryService::scheduler_counters() const {
   return scheduler_.counters();
 }
 
-void QueryService::Record(RequestKind kind, const RequestStats& stats) {
+void QueryService::Record(int64_t ServiceStats::*requests,
+                          const RequestStats& stats) {
   // The calling thread's shard: the lock is effectively uncontended (only
   // this thread and the rare aggregating reader take it), so recording is
   // a core-local write, not a global serialization point.
   StatShard& shard = stat_shards_.Local();
   std::lock_guard<std::mutex> lock(shard.mu);
-  Stats& s = shard.stats;
-  switch (kind) {
-    case RequestKind::kQuery:
-      ++s.queries;
-      if (stats.cache_hit) ++s.query_cache_hits;
-      if (stats.coalesced) ++s.query_coalesced;
-      if (stats.approximate) ++s.approx_queries;
-      break;
-    case RequestKind::kRefine:
-      ++s.refine_requests;
-      break;
-    case RequestKind::kSummarize:
-      ++s.summarize_requests;
-      break;
-    case RequestKind::kGuidance:
-      ++s.guidance_requests;
-      break;
-    case RequestKind::kRetrieve:
-      ++s.retrieve_requests;
-      break;
-    case RequestKind::kExplore:
-      ++s.explore_requests;
-      break;
-  }
-  if (kind != RequestKind::kQuery && kind != RequestKind::kRefine) {
+  ServiceStats& s = shard.stats;
+  ++(s.*requests);
+  if (requests == &ServiceStats::queries) {
+    if (stats.cache_hit) ++s.query_cache_hits;
+    if (stats.coalesced) ++s.query_coalesced;
+    if (stats.approximate) ++s.approx_queries;
+  } else if (requests != &ServiceStats::refine_requests) {
     if (stats.cache_hit) ++s.cache_hits;
     if (stats.coalesced) ++s.coalesced_waits;
     if (stats.built) ++s.builds;
@@ -952,35 +806,13 @@ void QueryService::Record(RequestKind kind, const RequestStats& stats) {
   s.max_latency_ms = std::max(s.max_latency_ms, stats.latency_ms);
 }
 
-QueryService::Stats QueryService::stats() const {
+ServiceStats QueryService::stats() const {
   // Aggregate-on-read over the per-thread shards (exact once the recorded
   // requests happen-before this read, e.g. after thread join).
-  Stats out;
+  ServiceStats out;
   stat_shards_.ForEach([&out](const StatShard& shard) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const Stats& s = shard.stats;
-    out.queries += s.queries;
-    out.query_cache_hits += s.query_cache_hits;
-    out.query_coalesced += s.query_coalesced;
-    out.summarize_requests += s.summarize_requests;
-    out.guidance_requests += s.guidance_requests;
-    out.retrieve_requests += s.retrieve_requests;
-    out.explore_requests += s.explore_requests;
-    out.cache_hits += s.cache_hits;
-    out.coalesced_waits += s.coalesced_waits;
-    out.builds += s.builds;
-    out.refreshes += s.refreshes;
-    out.refresh_full_reuses += s.refresh_full_reuses;
-    out.approx_queries += s.approx_queries;
-    out.approx_served += s.approx_served;
-    out.refine_requests += s.refine_requests;
-    out.refinements += s.refinements;
-    out.refinements_superseded += s.refinements_superseded;
-    out.prefetch_issued += s.prefetch_issued;
-    out.prefetch_hits += s.prefetch_hits;
-    out.warm_start_loads += s.warm_start_loads;
-    out.total_latency_ms += s.total_latency_ms;
-    out.max_latency_ms = std::max(out.max_latency_ms, s.max_latency_ms);
+    Accumulate(shard.stats, &out);
   });
   out.datasets = datasets_.size();
   std::shared_ptr<const Registry> registry = CurrentRegistry();

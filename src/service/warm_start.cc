@@ -71,13 +71,13 @@ std::string WarmStartFileName(const std::string& session_key) {
 
 Status WriteWarmStartSnapshot(const std::string& path,
                               const WarmStartSnapshot& snapshot) {
+  const core::Session::GuidanceSnapshot& grid = snapshot.grid;
   std::string out = StrCat(
       kMagic, " ", kFormatVersion, " ", Hex64(snapshot.catalog_version), " ",
-      Hex64(snapshot.content_fingerprint), " ",
-      Hex64(snapshot.domain_fingerprint), " ", snapshot.num_answers, " ",
-      snapshot.num_attrs, " ", snapshot.store_l, " ", snapshot.payload.size(),
-      " ", Hex64(WarmStartChecksum(snapshot.payload)), "\n");
-  out += snapshot.payload;
+      Hex64(grid.content_fingerprint), " ", Hex64(grid.domain_fingerprint),
+      " ", grid.num_answers, " ", grid.num_attrs, " ", grid.store_l, " ",
+      grid.payload.size(), " ", Hex64(WarmStartChecksum(grid.payload)), "\n");
+  out += grid.payload;
   const std::string tmp = StrCat(path, ".tmp");
   {
     std::ofstream file(tmp, std::ios::trunc | std::ios::binary);
@@ -114,15 +114,16 @@ Result<WarmStartSnapshot> ReadWarmStartSnapshot(const std::string& path) {
         StrCat(path, ": unsupported snapshot version ", version));
   }
   WarmStartSnapshot out;
+  core::Session::GuidanceSnapshot& grid = out.grid;
   QAG_ASSIGN_OR_RETURN(out.catalog_version, ParseHex64(fields[2]));
-  QAG_ASSIGN_OR_RETURN(out.content_fingerprint, ParseHex64(fields[3]));
-  QAG_ASSIGN_OR_RETURN(out.domain_fingerprint, ParseHex64(fields[4]));
+  QAG_ASSIGN_OR_RETURN(grid.content_fingerprint, ParseHex64(fields[3]));
+  QAG_ASSIGN_OR_RETURN(grid.domain_fingerprint, ParseHex64(fields[4]));
   QAG_ASSIGN_OR_RETURN(
-      out.num_answers,
+      grid.num_answers,
       ParseBoundedInt(fields[5], "num_answers", 1, 1 << 30));
-  QAG_ASSIGN_OR_RETURN(out.num_attrs,
+  QAG_ASSIGN_OR_RETURN(grid.num_attrs,
                        ParseBoundedInt(fields[6], "num_attrs", 1, 1 << 20));
-  QAG_ASSIGN_OR_RETURN(out.store_l,
+  QAG_ASSIGN_OR_RETURN(grid.store_l,
                        ParseBoundedInt(fields[7], "store_l", 1, 1 << 30));
   QAG_ASSIGN_OR_RETURN(int64_t payload_bytes, ParseInt64(fields[8]));
   if (payload_bytes < 0 ||
@@ -135,13 +136,13 @@ Result<WarmStartSnapshot> ReadWarmStartSnapshot(const std::string& path) {
   // trailing bytes are damage (the writer emits nothing after the payload).
   std::ostringstream rest;
   rest << in.rdbuf();
-  out.payload = rest.str();
-  if (static_cast<int64_t>(out.payload.size()) != payload_bytes) {
+  grid.payload = rest.str();
+  if (static_cast<int64_t>(grid.payload.size()) != payload_bytes) {
     return Status::InvalidArgument(
-        StrCat(path, ": payload is ", out.payload.size(),
+        StrCat(path, ": payload is ", grid.payload.size(),
                " bytes, header promised ", payload_bytes));
   }
-  if (WarmStartChecksum(out.payload) != checksum) {
+  if (WarmStartChecksum(grid.payload) != checksum) {
     return Status::InvalidArgument(
         StrCat(path, ": payload checksum mismatch (corrupt snapshot)"));
   }

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "core/session.h"
 
 namespace qagview::service {
 
@@ -36,14 +37,9 @@ struct WarmStartSnapshot {
   /// key; the fingerprints are authoritative for validity — a version
   /// bump that provably did not change the answer set still warm-starts).
   uint64_t catalog_version = 0;
-  uint64_t content_fingerprint = 0;
-  uint64_t domain_fingerprint = 0;
-  int num_answers = 0;
-  int num_attrs = 0;
-  /// The L the stored grid was built for.
-  int store_l = 0;
-  /// The serialized solution store (solution_store_io format).
-  std::string payload;
+  /// The serialized grid and the identity of the answer set it was built
+  /// from, exactly as core::Session snapshots and reloads it.
+  core::Session::GuidanceSnapshot grid;
 };
 
 /// 64-bit FNV-1a over `data` — the payload checksum.

@@ -10,9 +10,11 @@
 //      shape (count / sum / avg);
 //  (c) readers racing background refinement only ever observe a complete
 //      published view — the approximate set or the exact set, never a
-//      blend — and the warm path stays writer-lock-free once refinement
-//      quiesces, with the retired approximate generation draining to an
-//      empty graveyard.
+//      blend — and every Summarize / Explore / Guidance / Retrieve
+//      response is labelled with the phase that served it (its answer
+//      equals the replay of exactly that phase); the warm path stays
+//      writer-lock-free once refinement quiesces, with the retired
+//      approximate generation draining to an empty graveyard.
 //
 // The TSan/ASan CI jobs run this binary explicitly: mode (c) races 8
 // reader threads against the background exact build's republication.
@@ -79,7 +81,7 @@ std::shared_ptr<const core::AnswerSet> ColdExactAnswers(
   storage::Table table = testutil::MakeRandomTable(spec, seed, base_rows);
   QAG_CHECK_OK(table.AppendRows(extra));
   QAG_CHECK_OK(cold.RegisterTable("ratings", std::move(table)));
-  auto info = cold.Query(kRefineSql, "val");
+  auto info = cold.Query({kRefineSql, "val"});
   QAG_CHECK(info.ok()) << info.status().ToString();
   return Answers(cold, info->handle);
 }
@@ -102,18 +104,19 @@ TEST(ApproxRefinement, ExactGenerationMatchesColdRebuild) {
     QueryOptions mode;
     mode.mode = QueryMode::kApproxFirst;
     mode.confidence = kConfidence;
-    auto info = service.Query(kRefineSql, "val", mode);
+    auto info = service.Query({kRefineSql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     // The cold response really is phase one: approximate, with bounds.
-    EXPECT_FALSE(info->is_exact);
+    EXPECT_FALSE(info->approx.is_exact);
     EXPECT_TRUE(info->stats.approximate);
-    EXPECT_GT(info->max_bound, 0.0);
+    EXPECT_GT(info->approx.max_bound, 0.0);
     EXPECT_EQ(info->confidence, kConfidence);
-    EXPECT_LT(info->sample_fraction, 1.0);
+    EXPECT_LT(info->approx.sample_fraction, 1.0);
 
-    RequestStats refine_stats;
-    ASSERT_TRUE(service.Refine(info->handle, &refine_stats).ok());
-    EXPECT_FALSE(refine_stats.approximate);
+    auto refined = service.Refine({info->handle});
+    ASSERT_TRUE(refined.ok());
+    EXPECT_FALSE(refined->stats.approximate);
+    EXPECT_TRUE(refined->approx.is_exact);
     std::shared_ptr<const core::AnswerSet> live =
         Answers(service, info->handle);
     EXPECT_TRUE(live->approximation().is_exact);
@@ -130,17 +133,17 @@ TEST(ApproxRefinement, ExactGenerationMatchesColdRebuild) {
       auto rows = testutil::MakeRandomRows(
           spec, seed ^ (0xD00Du + static_cast<uint64_t>(a) * 131),
           50 + static_cast<int>(rng.Index(150)));
-      ASSERT_TRUE(service.AppendRows("ratings", rows).ok());
+      ASSERT_TRUE(service.AppendRows({"ratings", rows}).ok());
       extra.insert(extra.end(), rows.begin(), rows.end());
     }
-    ASSERT_TRUE(service.Refine(info->handle).ok());
+    ASSERT_TRUE(service.Refine({info->handle}).ok());
     live = Answers(service, info->handle);
     EXPECT_TRUE(live->approximation().is_exact);
     oracle = ColdExactAnswers(spec, seed, base_rows, extra);
     EXPECT_EQ(live->content_fingerprint(), oracle->content_fingerprint());
     EXPECT_TRUE(live->SameContent(*oracle));
 
-    QueryService::Stats stats = service.stats();
+    ServiceStats stats = service.stats();
     EXPECT_GE(stats.refine_requests, 2);
     EXPECT_GE(stats.refinements, 1);
     EXPECT_GE(stats.approx_queries, 1);
@@ -191,9 +194,9 @@ TEST_P(ApproxBounds, TrueValueInsideReportedBound) {
     QueryOptions mode;
     mode.mode = QueryMode::kApproxOnly;
     mode.confidence = kConfidence;
-    auto info = service.Query(shape.sql, "val", mode);
+    auto info = service.Query({shape.sql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    ASSERT_FALSE(info->is_exact);
+    ASSERT_FALSE(info->approx.is_exact);
     std::shared_ptr<const core::AnswerSet> approx =
         Answers(service, info->handle);
 
@@ -202,7 +205,7 @@ TEST_P(ApproxBounds, TrueValueInsideReportedBound) {
                     .RegisterTable("ratings", testutil::MakeRandomTable(
                                                   spec, seed, rows))
                     .ok());
-    auto exact_info = exact_service.Query(shape.sql, "val");
+    auto exact_info = exact_service.Query({shape.sql, "val"});
     ASSERT_TRUE(exact_info.ok()) << exact_info.status().ToString();
     std::shared_ptr<const core::AnswerSet> exact =
         Answers(exact_service, exact_info->handle);
@@ -249,7 +252,40 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// (c) Readers racing refinement observe only complete views.
+// (c) Readers racing refinement observe only complete views, and every
+//     response matches the phase its label names.
+
+bool SameSolution(const core::Solution& a, const core::Solution& b) {
+  return a.cluster_ids == b.cluster_ids && a.covered_sum == b.covered_sum &&
+         a.covered_count == b.covered_count && a.average == b.average &&
+         a.covered_min == b.covered_min;
+}
+
+/// Everything the racing readers ask for, served by one phase in isolation.
+struct PhaseReplay {
+  SummarizeResponse summarize;
+  ExploreResponse explore;
+  GuidanceResponse guidance;
+  RetrieveResponse retrieve;
+};
+
+PhaseReplay ReplayPhase(QueryService& service, QueryHandle handle,
+                        const core::Params& params, int d, int k) {
+  PhaseReplay out;
+  auto summarize = service.Summarize({handle, params});
+  QAG_CHECK(summarize.ok()) << summarize.status().ToString();
+  out.summarize = *summarize;
+  auto explore = service.Explore({handle, params});
+  QAG_CHECK(explore.ok()) << explore.status().ToString();
+  out.explore = *explore;
+  auto guidance = service.Guidance({handle, params.L});
+  QAG_CHECK(guidance.ok()) << guidance.status().ToString();
+  out.guidance = *guidance;
+  auto retrieve = service.Retrieve({handle, params.L, d, k});
+  QAG_CHECK(retrieve.ok()) << retrieve.status().ToString();
+  out.retrieve = *retrieve;
+  return out;
+}
 
 TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
   for (int rep = 0; rep < 4; ++rep) {
@@ -257,37 +293,64 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     SCOPED_TRACE(StrCat("rep ", rep));
     testutil::RandomTableSpec spec;
     const int rows = 4000;
+    QueryOptions mode;
+    mode.mode = QueryMode::kApproxFirst;
+    mode.confidence = kConfidence;
+    QueryOptions approx_only = mode;
+    approx_only.mode = QueryMode::kApproxOnly;
 
-    // The two fingerprints a racing reader may legitimately observe,
-    // computed ahead of the race (samples are deterministic per dataset
-    // name, so an approx-only twin service reproduces phase one exactly).
-    uint64_t approx_fp = 0;
-    uint64_t exact_fp = 0;
-    {
-      QueryService twin(ApproxOptions());
-      ASSERT_TRUE(twin.RegisterTable(
-                          "ratings", testutil::MakeRandomTable(spec, seed,
-                                                               rows))
+    // The two phases in isolation, ahead of the race: an approx-only twin
+    // reproduces phase one exactly (samples are deterministic per dataset
+    // name), an exact-only twin phase two. Every op runs at one coverage
+    // level, so each generation only ever holds the one universe and grid
+    // the replays build.
+    QueryService approx_twin(ApproxOptions());
+    QueryService exact_twin;
+    for (QueryService* twin : {&approx_twin, &exact_twin}) {
+      ASSERT_TRUE(twin->RegisterTable("ratings", testutil::MakeRandomTable(
+                                                     spec, seed, rows))
                       .ok());
-      QueryOptions mode;
-      mode.mode = QueryMode::kApproxOnly;
-      mode.confidence = kConfidence;
-      auto info = twin.Query(kRefineSql, "val", mode);
-      ASSERT_TRUE(info.ok()) << info.status().ToString();
-      ASSERT_FALSE(info->is_exact);
-      approx_fp = Answers(twin, info->handle)->content_fingerprint();
     }
-    exact_fp = ColdExactAnswers(spec, seed, rows, {})->content_fingerprint();
+    auto approx_info = approx_twin.Query({kRefineSql, "val", approx_only});
+    ASSERT_TRUE(approx_info.ok()) << approx_info.status().ToString();
+    ASSERT_FALSE(approx_info->approx.is_exact);
+    auto exact_info = exact_twin.Query({kRefineSql, "val"});
+    ASSERT_TRUE(exact_info.ok()) << exact_info.status().ToString();
+    // The two fingerprints a racing reader may legitimately observe.
+    const uint64_t approx_fp =
+        Answers(approx_twin, approx_info->handle)->content_fingerprint();
+    const uint64_t exact_fp =
+        Answers(exact_twin, exact_info->handle)->content_fingerprint();
     ASSERT_NE(approx_fp, exact_fp);
+
+    const int top_l =
+        std::min({6, approx_info->num_answers, exact_info->num_answers});
+    const core::Params params{std::min(3, top_l), top_l, 2};
+    // A grid cell both phases store: the smallest D, at the larger of the
+    // two phases' smallest stored k.
+    auto approx_grid = approx_twin.Guidance({approx_info->handle, top_l});
+    auto exact_grid = exact_twin.Guidance({exact_info->handle, top_l});
+    ASSERT_TRUE(approx_grid.ok() && exact_grid.ok());
+    ASSERT_FALSE(approx_grid->d_values.empty());
+    ASSERT_EQ(approx_grid->d_values.front(), exact_grid->d_values.front());
+    const int d = exact_grid->d_values.front();
+    const int k =
+        std::max(approx_grid->min_ks.front(), exact_grid->min_ks.front());
+    const PhaseReplay phase_one =
+        ReplayPhase(approx_twin, approx_info->handle, params, d, k);
+    const PhaseReplay phase_two =
+        ReplayPhase(exact_twin, exact_info->handle, params, d, k);
+    ASSERT_FALSE(SameSolution(phase_one.summarize.solution,
+                              phase_two.summarize.solution));
+    auto replay_of = [&](const ApproxMeta& label) -> const PhaseReplay& {
+      return label.is_exact ? phase_two : phase_one;
+    };
 
     QueryService service(ApproxOptions());
     ASSERT_TRUE(service
                     .RegisterTable("ratings", testutil::MakeRandomTable(
                                                   spec, seed, rows))
                     .ok());
-    QueryOptions mode;
-    mode.mode = QueryMode::kApproxFirst;
-    mode.confidence = kConfidence;
 
     constexpr int kReaders = 8;
     constexpr int kReads = 200;
@@ -296,11 +359,12 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
     for (int t = 0; t < kReaders; ++t) {
       readers.emplace_back([&] {
         latch.ArriveAndWait();
-        auto info = service.Query(kRefineSql, "val", mode);
+        auto info = service.Query({kRefineSql, "val", mode});
         ASSERT_TRUE(info.ok()) << info.status().ToString();
+        const QueryHandle handle = info->handle;
         for (int i = 0; i < kReads; ++i) {
           std::shared_ptr<const core::AnswerSet> view =
-              Answers(service, info->handle);
+              Answers(service, handle);
           const uint64_t fp = view->content_fingerprint();
           // Complete approximate view or complete exact view — a blend
           // would fingerprint as neither.
@@ -313,40 +377,83 @@ TEST(ApproxConcurrency, ReadersSeeOnlyCompleteViewsDuringRefinement) {
             EXPECT_TRUE(approx.is_exact);
             EXPECT_EQ(approx.max_bound, 0.0);
           }
+          // One serving op per read, each checked against the replay of
+          // the phase its response claims served it.
+          switch (i % 4) {
+            case 0: {
+              auto r = service.Summarize({handle, params});
+              ASSERT_TRUE(r.ok()) << r.status().ToString();
+              EXPECT_EQ(r->stats.approximate, !r->approx.is_exact);
+              EXPECT_TRUE(SameSolution(
+                  r->solution, replay_of(r->approx).summarize.solution))
+                  << "Summarize labelled is_exact=" << r->approx.is_exact;
+              break;
+            }
+            case 1: {
+              auto r = service.Explore({handle, params});
+              ASSERT_TRUE(r.ok()) << r.status().ToString();
+              const ExploreResponse& replay = replay_of(r->approx).explore;
+              EXPECT_TRUE(SameSolution(r->solution, replay.solution))
+                  << "Explore labelled is_exact=" << r->approx.is_exact;
+              EXPECT_EQ(r->summary, replay.summary);
+              EXPECT_EQ(r->expanded, replay.expanded);
+              break;
+            }
+            case 2: {
+              auto r = service.Guidance({handle, top_l});
+              ASSERT_TRUE(r.ok()) << r.status().ToString();
+              const GuidanceResponse& replay = replay_of(r->approx).guidance;
+              EXPECT_EQ(r->num_intervals, replay.num_intervals);
+              EXPECT_EQ(r->min_ks, replay.min_ks);
+              break;
+            }
+            default: {
+              // Refinement may retire the grid between a Guidance and this
+              // Retrieve; a Retrieve that finds none has nothing to label.
+              auto r = service.Retrieve({handle, top_l, d, k});
+              if (!r.ok()) {
+                EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+                    << r.status().ToString();
+                break;
+              }
+              EXPECT_TRUE(SameSolution(
+                  r->solution, replay_of(r->approx).retrieve.solution))
+                  << "Retrieve labelled is_exact=" << r->approx.is_exact;
+              break;
+            }
+          }
         }
       });
     }
     // Main thread leads the cold approximate build while the readers race
     // the background refinement it schedules.
     latch.ArriveAndWait();
-    auto info = service.Query(kRefineSql, "val", mode);
+    auto info = service.Query({kRefineSql, "val", mode});
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    ASSERT_TRUE(service.Refine(info->handle).ok());
+    ASSERT_TRUE(service.Refine({info->handle}).ok());
     for (auto& reader : readers) reader.join();
 
     // Quiesced: exact is published, and the refinement was accounted once
     // (led by Refine or the background task; the other saw it superseded).
     EXPECT_EQ(Answers(service, info->handle)->content_fingerprint(),
               exact_fp);
-    QueryService::Stats stats = service.stats();
+    ServiceStats stats = service.stats();
     EXPECT_GE(stats.refine_requests, 1);
     EXPECT_GE(stats.refinements, 1);
 
     // The exact generation serves warm hits without the writer lock: once
     // caches are warm, a read burst moves the acquisition counter by zero.
-    const int top_l = std::min(6, info->num_answers);
-    const core::Params params{std::min(3, top_l), top_l, 2};
-    ASSERT_TRUE(service.Summarize(info->handle, params).ok());
+    ASSERT_TRUE(service.Summarize({info->handle, params}).ok());
     const int64_t locks_before =
         service.SessionCacheStats(info->handle)->writer_lock_acquisitions;
     std::vector<std::thread> warm;
     for (int t = 0; t < kReaders; ++t) {
       warm.emplace_back([&] {
         for (int i = 0; i < 50; ++i) {
-          RequestStats rs;
-          auto solution = service.Summarize(info->handle, params, &rs);
+          auto solution = service.Summarize({info->handle, params});
           ASSERT_TRUE(solution.ok()) << solution.status().ToString();
-          EXPECT_FALSE(rs.approximate);
+          EXPECT_FALSE(solution->stats.approximate);
+          EXPECT_TRUE(solution->approx.is_exact);
         }
       });
     }

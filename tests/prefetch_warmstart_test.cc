@@ -81,7 +81,7 @@ int64_t WriterLocks(QueryService* service, QueryHandle handle) {
 
 TEST(PrefetchTest, OffByDefaultIssuesNothing) {
   auto service = MakeService(ServiceOptions());
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val"});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().prefetch_issued, 0);
@@ -96,9 +96,9 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
   auto warm = MakeService(with);
   auto cold = MakeService(ServiceOptions());
 
-  auto info = warm->Query(kSql, "val");
+  auto info = warm->Query({kSql, "val"});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
   ASSERT_EQ(info->num_answers, cold_info->num_answers);
 
@@ -107,18 +107,18 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
 
   // The same predictor the service consults, so the test aims at a level
   // the prefetcher actually built.
-  ExplorationPredictor predictor(2);
+  ExplorationPredictor predictor;
   std::vector<int> targets = predictor.InitialLevels(info->num_answers);
   ASSERT_FALSE(targets.empty());
 
   core::Params params;
   params.L = targets[0];
 
-  RequestStats rs;
-  auto warm_solution = warm->Summarize(info->handle, params, &rs);
+  auto warm_solution = warm->Summarize({info->handle, params});
   ASSERT_TRUE(warm_solution.ok()) << warm_solution.status().ToString();
-  EXPECT_TRUE(rs.cache_hit) << "predicted level must serve warm";
-  EXPECT_FALSE(rs.built);
+  EXPECT_TRUE(warm_solution->stats.cache_hit)
+      << "predicted level must serve warm";
+  EXPECT_FALSE(warm_solution->stats.built);
   EXPECT_EQ(warm->stats().prefetch_hits, 1);
 
   // Writer-lock delta of a warm serve is zero. The request above spawned
@@ -128,24 +128,25 @@ TEST(PrefetchTest, QueryPrefetchMakesPredictedSummarizeAWarmRead) {
   // the foreground read itself.
   warm->DrainBackgroundWork();
   const int64_t locks_before = WriterLocks(warm.get(), info->handle);
-  RequestStats again;
-  ASSERT_TRUE(warm->Summarize(info->handle, params, &again).ok());
-  EXPECT_TRUE(again.cache_hit);
+  auto again = warm->Summarize({info->handle, params});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.cache_hit);
   warm->DrainBackgroundWork();
   EXPECT_EQ(WriterLocks(warm.get(), info->handle), locks_before)
       << "a prefetch hit must not take the writer lock";
 
   // Bit-identical to the cold twin: speculation may only move work
   // earlier in time, never change its result.
-  RequestStats cold_rs;
-  auto cold_solution = cold->Summarize(cold_info->handle, params, &cold_rs);
+  auto cold_solution = cold->Summarize({cold_info->handle, params});
   ASSERT_TRUE(cold_solution.ok());
-  EXPECT_FALSE(cold_rs.cache_hit);
-  EXPECT_EQ(warm_solution->cluster_ids, cold_solution->cluster_ids);
-  EXPECT_EQ(warm_solution->covered_sum, cold_solution->covered_sum);
-  EXPECT_EQ(warm_solution->covered_count, cold_solution->covered_count);
-  EXPECT_EQ(warm_solution->average, cold_solution->average);
-  EXPECT_EQ(warm_solution->covered_min, cold_solution->covered_min);
+  EXPECT_FALSE(cold_solution->stats.cache_hit);
+  const core::Solution& warm_s = warm_solution->solution;
+  const core::Solution& cold_s = cold_solution->solution;
+  EXPECT_EQ(warm_s.cluster_ids, cold_s.cluster_ids);
+  EXPECT_EQ(warm_s.covered_sum, cold_s.covered_sum);
+  EXPECT_EQ(warm_s.covered_count, cold_s.covered_count);
+  EXPECT_EQ(warm_s.average, cold_s.average);
+  EXPECT_EQ(warm_s.covered_min, cold_s.covered_min);
 }
 
 TEST(PrefetchTest, GuidancePrefetchBuildsTheNextDrillDownStore) {
@@ -154,51 +155,46 @@ TEST(PrefetchTest, GuidancePrefetchBuildsTheNextDrillDownStore) {
   auto warm = MakeService(with);
   auto cold = MakeService(ServiceOptions());
 
-  auto info = warm->Query(kSql, "val");
+  auto info = warm->Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
   warm->DrainBackgroundWork();
 
   const int l0 = 4;
-  RequestStats first;
-  auto store0 = warm->Guidance(info->handle, l0,
-                               core::PrecomputeOptions(), &first);
-  ASSERT_TRUE(store0.ok()) << store0.status().ToString();
-  EXPECT_TRUE(first.built);
+  auto first = warm->Guidance({info->handle, l0});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first->stats.built);
   warm->DrainBackgroundWork();
 
-  ExplorationPredictor predictor(2);
+  ExplorationPredictor predictor;
   std::vector<int> targets = predictor.NextLevels(
       study::MoveKind::kGuidance, l0, info->num_answers);
   ASSERT_FALSE(targets.empty());
   const int next_l = targets[0];
   ASSERT_NE(next_l, l0);
 
-  RequestStats rs;
-  auto warm_store = warm->Guidance(info->handle, next_l,
-                                   core::PrecomputeOptions(), &rs);
-  ASSERT_TRUE(warm_store.ok()) << warm_store.status().ToString();
-  EXPECT_TRUE(rs.cache_hit) << "the drill-down grid must already be warm";
-  EXPECT_FALSE(rs.built);
+  auto warm_grid = warm->Guidance({info->handle, next_l});
+  ASSERT_TRUE(warm_grid.ok()) << warm_grid.status().ToString();
+  EXPECT_TRUE(warm_grid->stats.cache_hit)
+      << "the drill-down grid must already be warm";
+  EXPECT_FALSE(warm_grid->stats.built);
   EXPECT_GE(warm->stats().prefetch_hits, 1);
 
   // Lock-freedom of the warm serve, measured once this level's follow-up
   // speculation (which builds, and so takes the lock) has drained.
   warm->DrainBackgroundWork();
   const int64_t locks_before = WriterLocks(warm.get(), info->handle);
-  RequestStats again;
-  ASSERT_TRUE(warm->Guidance(info->handle, next_l, core::PrecomputeOptions(),
-                             &again)
-                  .ok());
-  EXPECT_TRUE(again.cache_hit);
+  auto again = warm->Guidance({info->handle, next_l});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->stats.cache_hit);
   warm->DrainBackgroundWork();
   EXPECT_EQ(WriterLocks(warm.get(), info->handle), locks_before)
       << "a warm guidance serve must not take the writer lock";
 
-  RequestStats cold_rs;
-  auto cold_store = cold->Guidance(cold_info->handle, next_l,
-                                   core::PrecomputeOptions(), &cold_rs);
+  auto warm_store = warm->GuidanceStore(info->handle, next_l);
+  ASSERT_TRUE(warm_store.ok());
+  auto cold_store = cold->GuidanceStore(cold_info->handle, next_l);
   ASSERT_TRUE(cold_store.ok());
   EXPECT_EQ(core::SerializeSolutionStore(**warm_store),
             core::SerializeSolutionStore(**cold_store))
@@ -213,11 +209,12 @@ TEST(PrefetchTest, ApproximateSessionsNeverSpeculate) {
   QueryOptions approx;
   approx.mode = QueryMode::kApproxOnly;
   approx.confidence = 0.95;
-  auto info = service->Query(kSql, "val", approx);
+  auto info = service->Query({kSql, "val", approx});
   ASSERT_TRUE(info.ok()) << info.status().ToString();
-  if (info->is_exact) GTEST_SKIP() << "sample did not engage; nothing to pin";
-  core::Params params;
-  auto solution = service->Summarize(info->handle, params, nullptr);
+  if (info->approx.is_exact) {
+    GTEST_SKIP() << "sample did not engage; nothing to pin";
+  }
+  auto solution = service->Summarize({info->handle, core::Params()});
   ASSERT_TRUE(solution.ok());
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().prefetch_issued, 0)
@@ -228,15 +225,16 @@ TEST(PrefetchTest, CatalogMutationCancelsQueuedSpeculation) {
   ServiceOptions with;
   with.prefetch = true;
   auto service = MakeService(with);
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
   // Mutate the catalog immediately: any still-queued prefetch task was
   // predicted against retired data and must be dropped, not run.
-  auto version = service->AppendRows(
-      "ratings", {{storage::Value::Str("g0v0"), storage::Value::Str("g1v1"),
-                   storage::Value::Str("g2v2"), storage::Value::Str("g3v3"),
-                   storage::Value::Real(4.5)}});
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
+  auto appended = service->AppendRows(
+      {"ratings",
+       {{storage::Value::Str("g0v0"), storage::Value::Str("g1v1"),
+         storage::Value::Str("g2v2"), storage::Value::Str("g3v3"),
+         storage::Value::Real(4.5)}}});
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
   service->DrainBackgroundWork();
   const auto counters = service->scheduler_counters();
   const auto& lane =
@@ -245,8 +243,7 @@ TEST(PrefetchTest, CatalogMutationCancelsQueuedSpeculation) {
   // Whatever raced, the refreshed session must serve the new data
   // correctly (the refresh machinery is pinned by its own battery; this
   // checks speculation didn't poison it).
-  RequestStats rs;
-  auto solution = service->Summarize(info->handle, core::Params(), &rs);
+  auto solution = service->Summarize({info->handle, core::Params()});
   EXPECT_TRUE(solution.ok()) << solution.status().ToString();
 }
 
@@ -262,13 +259,11 @@ TEST(WarmStartTest, SnapshotSurvivesRestartAndServesWarm) {
   // First process lifetime: build a grid, let the snapshot write drain.
   {
     auto service = MakeService(opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val"});
     ASSERT_TRUE(info.ok());
-    RequestStats rs;
-    auto store = service->Guidance(info->handle, top_l,
-                                   core::PrecomputeOptions(), &rs);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(rs.built);
+    auto grid = service->Guidance({info->handle, top_l});
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    ASSERT_TRUE(grid->stats.built);
     service->DrainBackgroundWork();
   }
 
@@ -276,26 +271,24 @@ TEST(WarmStartTest, SnapshotSurvivesRestartAndServesWarm) {
   // Guidance is a warm RCU read of the restored grid.
   auto reborn = MakeService(opts);
   auto cold = MakeService(ServiceOptions());
-  auto info = reborn->Query(kSql, "val");
+  auto info = reborn->Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
   reborn->DrainBackgroundWork();
   EXPECT_EQ(reborn->stats().warm_start_loads, 1);
 
   const int64_t locks_before = WriterLocks(reborn.get(), info->handle);
-  RequestStats rs;
-  auto warm_store = reborn->Guidance(info->handle, top_l,
-                                     core::PrecomputeOptions(), &rs);
-  ASSERT_TRUE(warm_store.ok()) << warm_store.status().ToString();
-  EXPECT_TRUE(rs.cache_hit);
-  EXPECT_FALSE(rs.built);
+  auto warm_grid = reborn->Guidance({info->handle, top_l});
+  ASSERT_TRUE(warm_grid.ok()) << warm_grid.status().ToString();
+  EXPECT_TRUE(warm_grid->stats.cache_hit);
+  EXPECT_FALSE(warm_grid->stats.built);
   EXPECT_EQ(WriterLocks(reborn.get(), info->handle), locks_before)
       << "warm-started guidance must serve without the writer lock";
 
-  RequestStats cold_rs;
-  auto cold_store = cold->Guidance(cold_info->handle, top_l,
-                                   core::PrecomputeOptions(), &cold_rs);
+  auto warm_store = reborn->GuidanceStore(info->handle, top_l);
+  ASSERT_TRUE(warm_store.ok());
+  auto cold_store = cold->GuidanceStore(cold_info->handle, top_l);
   ASSERT_TRUE(cold_store.ok());
   EXPECT_EQ(core::SerializeSolutionStore(**warm_store),
             core::SerializeSolutionStore(**cold_store))
@@ -308,11 +301,10 @@ TEST(WarmStartTest, ChangedDataRejectsSnapshotAndRebuildsCold) {
   opts.snapshot_dir = dir;
   {
     auto service = MakeService(opts, /*seed=*/71);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val"});
     ASSERT_TRUE(info.ok());
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-    ASSERT_TRUE(store.ok());
+    // The foreground Guidance request is what snapshots the grid.
+    ASSERT_TRUE(service->Guidance({info->handle, 5}).ok());
     service->DrainBackgroundWork();
   }
   // Same query text, same snapshot dir, *different data*: the snapshot's
@@ -320,20 +312,20 @@ TEST(WarmStartTest, ChangedDataRejectsSnapshotAndRebuildsCold) {
   // must degrade to a cold build — stale caches must never resurface.
   auto service = MakeService(opts, /*seed=*/99);
   auto cold = MakeService(ServiceOptions(), /*seed=*/99);
-  auto info = service->Query(kSql, "val");
+  auto info = service->Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
   service->DrainBackgroundWork();
   EXPECT_EQ(service->stats().warm_start_loads, 0);
 
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
-  RequestStats rs;
-  auto store = service->Guidance(info->handle, 5,
-                                 core::PrecomputeOptions(), &rs);
+  auto grid = service->Guidance({info->handle, 5});
+  ASSERT_TRUE(grid.ok());
+  EXPECT_TRUE(grid->stats.built)
+      << "rejected snapshot must fall back to cold build";
+  auto store = service->GuidanceStore(info->handle, 5);
   ASSERT_TRUE(store.ok());
-  EXPECT_TRUE(rs.built) << "rejected snapshot must fall back to cold build";
-  auto cold_store = cold->Guidance(cold_info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
+  auto cold_store = cold->GuidanceStore(cold_info->handle, 5);
   ASSERT_TRUE(cold_store.ok());
   EXPECT_EQ(core::SerializeSolutionStore(**store),
             core::SerializeSolutionStore(**cold_store));
@@ -347,11 +339,10 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
   opts.snapshot_dir = dir;
   {
     auto service = MakeService(opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val"});
     ASSERT_TRUE(info.ok());
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
-    ASSERT_TRUE(store.ok());
+    // The foreground Guidance request is what snapshots the grid.
+    ASSERT_TRUE(service->Guidance({info->handle, 5}).ok());
     service->DrainBackgroundWork();
   }
   const std::string name =
@@ -376,10 +367,9 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
   }
 
   auto cold = MakeService(ServiceOptions());
-  auto cold_info = cold->Query(kSql, "val");
+  auto cold_info = cold->Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
-  auto cold_store = cold->Guidance(cold_info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
+  auto cold_store = cold->GuidanceStore(cold_info->handle, 5);
   ASSERT_TRUE(cold_store.ok());
   const std::string cold_bytes = core::SerializeSolutionStore(**cold_store);
 
@@ -391,14 +381,13 @@ TEST(WarmStartTest, DamagedSnapshotCorpusDegradesCleanly) {
     ServiceOptions case_opts;
     case_opts.snapshot_dir = case_dir;
     auto service = MakeService(case_opts);
-    auto info = service->Query(kSql, "val");
+    auto info = service->Query({kSql, "val"});
     ASSERT_TRUE(info.ok()) << label;
     service->DrainBackgroundWork();
     // A flip can land in provenance bytes the loader legitimately ignores
     // (catalog version), so "loads == 0 or served identically" is the
     // contract: never a crash, never a divergent answer.
-    auto store = service->Guidance(info->handle, 5,
-                                   core::PrecomputeOptions(), nullptr);
+    auto store = service->GuidanceStore(info->handle, 5);
     ASSERT_TRUE(store.ok()) << label;
     EXPECT_EQ(core::SerializeSolutionStore(**store), cold_bytes)
         << label << ": a damaged snapshot must never change an answer";
@@ -409,18 +398,18 @@ TEST(WarmStartTest, EnvelopeRejectsForgedAndOversizedHeaders) {
   const std::string dir = ScratchDir("ws_envelope");
   WarmStartSnapshot snap;
   snap.catalog_version = 7;
-  snap.content_fingerprint = 0xabcdefull;
-  snap.domain_fingerprint = 0x123456ull;
-  snap.num_answers = 42;
-  snap.num_attrs = 4;
-  snap.store_l = 6;
-  snap.payload = "qagview-store 1 6 42 4 0\n";
+  snap.grid.content_fingerprint = 0xabcdefull;
+  snap.grid.domain_fingerprint = 0x123456ull;
+  snap.grid.num_answers = 42;
+  snap.grid.num_attrs = 4;
+  snap.grid.store_l = 6;
+  snap.grid.payload = "qagview-store 1 6 42 4 0\n";
   const std::string path = dir + "/forged.qsnap";
   ASSERT_TRUE(WriteWarmStartSnapshot(path, snap).ok());
   auto ok = ReadWarmStartSnapshot(path);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_EQ(ok->payload, snap.payload);
-  EXPECT_EQ(ok->content_fingerprint, snap.content_fingerprint);
+  EXPECT_EQ(ok->grid.payload, snap.grid.payload);
+  EXPECT_EQ(ok->grid.content_fingerprint, snap.grid.content_fingerprint);
 
   const std::string valid = ReadFile(path);
   // Header promising more payload than the file holds.

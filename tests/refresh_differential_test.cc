@@ -73,7 +73,7 @@ std::ostream& operator<<(std::ostream& out, const Footprint& f) {
 /// derived from num_answers stay valid across refreshes.
 Footprint Probe(QueryService& service) {
   Footprint f;
-  auto info = service.Query(kSql, "val");
+  auto info = service.Query({kSql, "val"});
   if (!info.ok()) {
     f.error = info.status().ToString();
     return f;
@@ -81,27 +81,27 @@ Footprint Probe(QueryService& service) {
   f.num_answers = info->num_answers;
   const int top_l = std::min(6, f.num_answers);
   const int k = std::min(3, top_l);
-  auto explore = service.Explore(info->handle, {k, top_l, 2});
+  auto explore = service.Explore({info->handle, {k, top_l, 2}});
   if (explore.ok()) {
     f.explore_summary = explore->summary;
     f.explore_expanded = explore->expanded;
   } else if (f.error.empty()) {
     f.error = explore.status().ToString();
   }
-  auto summarized = service.Summarize(info->handle, {std::min(4, top_l),
-                                                     top_l, 1});
+  auto summarized =
+      service.Summarize({info->handle, {std::min(4, top_l), top_l, 1}});
   if (summarized.ok()) {
-    f.summarize_avg = summarized->average;
-    f.summarize_count = summarized->covered_count;
+    f.summarize_avg = summarized->solution.average;
+    f.summarize_count = summarized->solution.covered_count;
   } else if (f.error.empty()) {
     f.error = summarized.status().ToString();
   }
-  auto guided = service.Guidance(info->handle, top_l, Grid());
+  auto guided = service.Guidance({info->handle, top_l, Grid()});
   if (!guided.ok() && f.error.empty()) f.error = guided.status().ToString();
-  auto retrieved = service.Retrieve(info->handle, top_l, 2, 3);
+  auto retrieved = service.Retrieve({info->handle, top_l, 2, 3});
   if (retrieved.ok()) {
-    f.retrieve_avg = retrieved->average;
-    f.retrieve_count = retrieved->covered_count;
+    f.retrieve_avg = retrieved->solution.average;
+    f.retrieve_count = retrieved->solution.covered_count;
   } else if (f.error.empty()) {
     f.error = retrieved.status().ToString();
   }
@@ -148,7 +148,7 @@ TEST_P(RefreshDifferentialSerial, IncrementalEqualsColdRebuild) {
       const int delta_rows = 1 + static_cast<int>(rng.Index(30));
       auto rows = testutil::MakeRandomRows(
           spec, seed ^ (0xA5A5u + static_cast<uint64_t>(a) * 31), delta_rows);
-      ASSERT_TRUE(incremental.AppendRows("ratings", rows).ok());
+      ASSERT_TRUE(incremental.AppendRows({"ratings", rows}).ok());
       extra.insert(extra.end(), rows.begin(), rows.end());
 
       Footprint live = Probe(incremental);
@@ -158,7 +158,7 @@ TEST_P(RefreshDifferentialSerial, IncrementalEqualsColdRebuild) {
     }
     // The incremental path really did refresh in place: one session, with
     // at least `appends` SQL re-executions behind it.
-    QueryService::Stats stats = incremental.stats();
+    ServiceStats stats = incremental.stats();
     EXPECT_EQ(stats.sessions, 1);
     EXPECT_GE(stats.refreshes, static_cast<int64_t>(appends));
   }
@@ -210,27 +210,27 @@ TEST_P(RefreshDifferentialConcurrent, FinalStateEqualsColdRebuild) {
       threads.emplace_back([&, t] {
         latch.ArriveAndWait();
         for (int round = 0; round < kRounds; ++round) {
-          auto info = service.Query(kSql, "val");
+          auto info = service.Query({kSql, "val"});
           ASSERT_TRUE(info.ok()) << info.status().ToString();
           const int top_l = std::min(6, info->num_answers);
           const int k = std::min(3, top_l);
           switch ((t + round) % 3) {
             case 0: {
-              auto explore = service.Explore(info->handle, {k, top_l, 2});
+              auto explore = service.Explore({info->handle, {k, top_l, 2}});
               ASSERT_TRUE(explore.ok()) << explore.status().ToString();
               break;
             }
             case 1: {
               auto summarized =
-                  service.Summarize(info->handle, {k, top_l, 1});
+                  service.Summarize({info->handle, {k, top_l, 1}});
               ASSERT_TRUE(summarized.ok())
                   << summarized.status().ToString();
               break;
             }
             default: {
-              auto guided = service.Guidance(info->handle, top_l, Grid());
+              auto guided = service.Guidance({info->handle, top_l, Grid()});
               ASSERT_TRUE(guided.ok()) << guided.status().ToString();
-              auto retrieved = service.Retrieve(info->handle, top_l, 1, 3);
+              auto retrieved = service.Retrieve({info->handle, top_l, 1, 3});
               if (!retrieved.ok()) {
                 // Only the documented Guidance/Retrieve race is tolerated.
                 EXPECT_EQ(retrieved.status().code(),
@@ -246,7 +246,7 @@ TEST_P(RefreshDifferentialConcurrent, FinalStateEqualsColdRebuild) {
     {
       latch.ArriveAndWait();
       for (const auto& batch : batches) {
-        ASSERT_TRUE(service.AppendRows("ratings", batch).ok());
+        ASSERT_TRUE(service.AppendRows({"ratings", batch}).ok());
         extra.insert(extra.end(), batch.begin(), batch.end());
       }
     }

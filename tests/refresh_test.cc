@@ -135,20 +135,20 @@ TEST(ServiceRefreshTest, AppendTriggersTransparentRefreshOnNextUse) {
   ASSERT_TRUE(
       service.RegisterTable("ratings", testutil::MakeRatingsTable(11, 600))
           .ok());
-  auto info = service.Query(kSql, "val");
+  auto info = service.Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
   const int answers_before = info->num_answers;
 
   // A delta that lands in existing heavy groups: values move, the handle
   // goes stale, and the next use re-executes transparently.
   testutil::RandomTableSpec spec;
-  auto version = service.AppendRows(
-      "ratings", testutil::MakeRandomRows(spec, 99, 50));
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 2u);
+  auto appended = service.AppendRows(
+      {"ratings", testutil::MakeRandomRows(spec, 99, 50)});
+  ASSERT_TRUE(appended.ok());
+  EXPECT_EQ(appended->version, 2u);
   EXPECT_EQ(service.catalog_version(), 2u);
 
-  auto again = service.Query(kSql, "val");
+  auto again = service.Query({kSql, "val"});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->handle, info->handle);  // same handle, refreshed data
   EXPECT_TRUE(again->stats.refreshed);
@@ -156,12 +156,12 @@ TEST(ServiceRefreshTest, AppendTriggersTransparentRefreshOnNextUse) {
   EXPECT_GE(again->num_answers, answers_before);
 
   // Now fresh: the next use is a plain cache hit.
-  auto third = service.Query(kSql, "val");
+  auto third = service.Query({kSql, "val"});
   ASSERT_TRUE(third.ok());
   EXPECT_TRUE(third->stats.cache_hit);
   EXPECT_FALSE(third->stats.refreshed);
 
-  QueryService::Stats stats = service.stats();
+  service::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sessions, 1);
   EXPECT_EQ(stats.refreshes, 1);
 
@@ -171,11 +171,11 @@ TEST(ServiceRefreshTest, AppendTriggersTransparentRefreshOnNextUse) {
   ASSERT_TRUE(
       final_table.AppendRows(testutil::MakeRandomRows(spec, 99, 50)).ok());
   ASSERT_TRUE(cold.RegisterTable("ratings", std::move(final_table)).ok());
-  auto cold_info = cold.Query(kSql, "val");
+  auto cold_info = cold.Query({kSql, "val"});
   ASSERT_TRUE(cold_info.ok());
   EXPECT_EQ(cold_info->num_answers, again->num_answers);
-  auto warm_explore = service.Explore(info->handle, {3, 8, 2});
-  auto cold_explore = cold.Explore(cold_info->handle, {3, 8, 2});
+  auto warm_explore = service.Explore({info->handle, {3, 8, 2}});
+  auto cold_explore = cold.Explore({cold_info->handle, {3, 8, 2}});
   ASSERT_TRUE(warm_explore.ok());
   ASSERT_TRUE(cold_explore.ok());
   EXPECT_EQ(warm_explore->summary, cold_explore->summary);
@@ -187,26 +187,28 @@ TEST(ServiceRefreshTest, QuietDeltaProvablyUnchangedReusesAllCaches) {
   ASSERT_TRUE(
       service.RegisterTable("ratings", testutil::MakeRatingsTable(11, 600))
           .ok());
-  auto info = service.Query(kSql, "val");
+  auto info = service.Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
-  auto store = service.Guidance(info->handle, 8, SmallGrid());
+  auto store = service.GuidanceStore(info->handle, 8, SmallGrid());
   ASSERT_TRUE(store.ok());
 
   // A row in a group that stays under the HAVING threshold: the catalog
   // version moves but the re-executed answer set is bit-identical, so the
   // refresh proves "unchanged" and every cache (incl. the grid) survives.
-  auto version = service.AppendRows(
-      "ratings",
-      {{Value::Str("quietA"), Value::Str("quietB"), Value::Str("quietC"),
-        Value::Str("g3v0"), Value::Real(1.0)}});
-  ASSERT_TRUE(version.ok());
+  auto appended = service.AppendRows(
+      {"ratings",
+       {{Value::Str("quietA"), Value::Str("quietB"), Value::Str("quietC"),
+         Value::Str("g3v0"), Value::Real(1.0)}}});
+  ASSERT_TRUE(appended.ok());
 
-  service::RequestStats rs;
-  auto store_after = service.Guidance(info->handle, 8, SmallGrid(), &rs);
+  auto grid = service.Guidance({info->handle, 8, SmallGrid()});
+  ASSERT_TRUE(grid.ok());
+  EXPECT_TRUE(grid->stats.refreshed);  // the SQL did re-execute...
+  EXPECT_TRUE(grid->stats.cache_hit);  // ...but the grid kept serving
+  auto store_after = service.GuidanceStore(info->handle, 8, SmallGrid());
   ASSERT_TRUE(store_after.ok());
-  EXPECT_TRUE(rs.refreshed);       // the SQL did re-execute...
-  EXPECT_EQ(*store_after, *store); // ...but the same grid keeps serving
-  QueryService::Stats stats = service.stats();
+  EXPECT_EQ(*store_after, *store);  // the very same grid
+  service::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.refreshes, 1);
   EXPECT_EQ(stats.refresh_full_reuses, 1);
 }
@@ -219,24 +221,24 @@ TEST(ServiceRefreshTest, OnlyDependentHandlesGoStale) {
   ASSERT_TRUE(
       service.RegisterTable("other", testutil::MakeRatingsTable(12, 500))
           .ok());
-  auto ratings = service.Query(kSql, "val");
+  auto ratings = service.Query({kSql, "val"});
   ASSERT_TRUE(ratings.ok());
   constexpr char kOtherSql[] =
       "SELECT g0, g1, avg(rating) AS val FROM other "
       "GROUP BY g0, g1 ORDER BY val DESC";
-  auto other = service.Query(kOtherSql, "val");
+  auto other = service.Query({kOtherSql, "val"});
   ASSERT_TRUE(other.ok());
 
   // Appending to `ratings` must not disturb the `other` handle.
   testutil::RandomTableSpec spec;
   ASSERT_TRUE(
-      service.AppendRows("ratings", testutil::MakeRandomRows(spec, 5, 40))
+      service.AppendRows({"ratings", testutil::MakeRandomRows(spec, 5, 40)})
           .ok());
-  auto other_again = service.Query(kOtherSql, "val");
+  auto other_again = service.Query({kOtherSql, "val"});
   ASSERT_TRUE(other_again.ok());
   EXPECT_TRUE(other_again->stats.cache_hit);
   EXPECT_FALSE(other_again->stats.refreshed);
-  auto ratings_again = service.Query(kSql, "val");
+  auto ratings_again = service.Query({kSql, "val"});
   ASSERT_TRUE(ratings_again.ok());
   EXPECT_TRUE(ratings_again->stats.refreshed);
 }
@@ -246,7 +248,7 @@ TEST(ServiceRefreshTest, ReplaceTableBreakingQueryReportsErrorThenRecovers) {
   ASSERT_TRUE(
       service.RegisterTable("ratings", testutil::MakeRatingsTable(11, 400))
           .ok());
-  auto info = service.Query(kSql, "val");
+  auto info = service.Query({kSql, "val"});
   ASSERT_TRUE(info.ok());
 
   // Replace with a schema missing g2: the SQL no longer executes; every
@@ -257,19 +259,19 @@ TEST(ServiceRefreshTest, ReplaceTableBreakingQueryReportsErrorThenRecovers) {
       service
           .ReplaceTable("ratings", testutil::MakeRandomTable(narrow, 3, 200))
           .ok());
-  auto broken = service.Query(kSql, "val");
+  auto broken = service.Query({kSql, "val"});
   EXPECT_FALSE(broken.ok());
-  EXPECT_FALSE(service.Summarize(info->handle, {3, 8, 2}).ok());
+  EXPECT_FALSE(service.Summarize({info->handle, {3, 8, 2}}).ok());
 
   // Restoring a compatible table heals the handle on next use.
   ASSERT_TRUE(
       service.ReplaceTable("ratings", testutil::MakeRatingsTable(13, 400))
           .ok());
-  auto healed = service.Query(kSql, "val");
+  auto healed = service.Query({kSql, "val"});
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(healed->handle, info->handle);
   EXPECT_TRUE(healed->stats.refreshed);
-  EXPECT_TRUE(service.Summarize(info->handle, {3, 8, 2}).ok());
+  EXPECT_TRUE(service.Summarize({info->handle, {3, 8, 2}}).ok());
 }
 
 }  // namespace

@@ -540,5 +540,437 @@ TEST(ServerLoadgenTest, OpenLoopBurstOverLoopbackAllSucceeds) {
   server.Shutdown();
 }
 
+
+// --- Wire golden ----------------------------------------------------------
+//
+// The JSON text of every request/response struct and of ServiceStats,
+// pinned byte for byte: field names, field order, number formatting and
+// string escaping are the wire contract clients depend on. Each fixed
+// instance must encode to the recorded text, and decoding that text must
+// re-encode to the same bytes. The decode-error cases pin the exact
+// message naming the offending field.
+
+service::RequestStats GoldenStats() {
+  service::RequestStats stats;
+  stats.latency_ms = 1.25;
+  stats.cache_hit = true;
+  stats.coalesced = false;
+  stats.built = true;
+  stats.refreshed = false;
+  stats.approximate = true;
+  stats.sample_fraction = 0.125;
+  stats.max_bound = 0.1;
+  return stats;
+}
+
+service::ApproxMeta GoldenApprox() {
+  service::ApproxMeta meta;
+  meta.is_exact = false;
+  meta.sample_fraction = 0.125;
+  meta.max_bound = 0.1;
+  return meta;
+}
+
+core::Solution GoldenSolution() {
+  core::Solution solution;
+  solution.cluster_ids = {3, 1, 4};
+  solution.covered_sum = 12.5;
+  solution.covered_count = 5;
+  solution.average = 1.0 / 3.0;
+  solution.covered_min = -0.5;
+  return solution;
+}
+
+/// Encodes `value` and compares it with the recorded text, then decodes
+/// the text and checks that the result re-encodes to the same bytes.
+template <typename T>
+void ExpectGolden(const T& value, const std::string& golden,
+                  Result<T> (*decode)(const Json&)) {
+  const std::string encoded = ToJson(value).Dump();
+  EXPECT_EQ(encoded, golden);
+  Result<T> decoded = decode(MustParse(golden));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(ToJson(*decoded).Dump(), golden);
+}
+
+/// The message of the error `decode` returns for `text` ("" on success).
+template <typename T>
+std::string DecodeError(Result<T> (*decode)(const Json&),
+                        const std::string& text) {
+  Result<T> decoded = decode(MustParse(text));
+  return decoded.ok() ? std::string() : decoded.status().message();
+}
+
+TEST(WireGoldenTest, RequestsEncodeToRecordedBytesAndRoundTrip) {
+  service::QueryRequest query;
+  query.sql = "SELECT g0, avg(v) AS val FROM t GROUP BY g0 -- \"q\"\n";
+  query.value_column = "val";
+  query.options.mode = service::QueryMode::kApproxFirst;
+  query.options.confidence = 0.9;
+  ExpectGolden(query,
+               R"json({"sql":"SELECT g0,)json"
+               R"json( avg(v) AS val FROM t GROUP BY g0 -- \"q\"\n",)json"
+               R"json("value_column":"val","options":{"mode":"approx_first",)json"
+               R"json("confidence":0.9}})json",
+               &QueryRequestFromJson);
+
+  service::SummarizeRequest summarize;
+  summarize.handle = 7;
+  summarize.params = core::Params{5, 10, 3};
+  ExpectGolden(summarize, R"json({"handle":7,"params":{"k":5,"L":10,"D":3}})json",
+               &SummarizeRequestFromJson);
+
+  service::GuidanceRequest guidance;
+  guidance.handle = 2;
+  guidance.top_l = 12;
+  guidance.options.k_min = 3;
+  guidance.options.k_max = 9;
+  guidance.options.d_values = {1, 2, 4};
+  guidance.options.c = 2;
+  guidance.options.use_delta_judgment = false;
+  guidance.options.num_threads = 6;  // an execution knob: never travels
+  ExpectGolden(guidance,
+               R"json({"handle":2,"top_l":12,"options":{"k_min":3,"k_max":9,)json"
+               R"json("d_values":[1,2,4],"c":2,"use_delta_judgment":false}})json",
+               &GuidanceRequestFromJson);
+
+  service::RetrieveRequest retrieve;
+  retrieve.handle = 3;
+  retrieve.top_l = 16;
+  retrieve.d = 2;
+  retrieve.k = 6;
+  ExpectGolden(retrieve, R"json({"handle":3,"top_l":16,"d":2,"k":6})json",
+               &RetrieveRequestFromJson);
+
+  service::ExploreRequest explore;
+  explore.handle = 4;
+  explore.params = core::Params{3, 6, 1};
+  explore.max_members = 0;
+  ExpectGolden(explore,
+               R"json({"handle":4,"params":{"k":3,"L":6,"D":1},)json"
+               R"json("max_members":0})json",
+               &ExploreRequestFromJson);
+
+  service::RefineRequest refine;
+  refine.handle = 5;
+  ExpectGolden(refine, R"json({"handle":5})json", &RefineRequestFromJson);
+
+  service::AppendRowsRequest append;
+  append.dataset = "ratings";
+  append.rows.push_back({storage::Value::Str("g0v1"), storage::Value::Int(-3),
+                         storage::Value::Real(4.75), storage::Value::Null()});
+  append.rows.push_back({});
+  ExpectGolden(append,
+               R"json({"dataset":"ratings","rows":[["g0v1",-3,4.75,null],)json"
+               R"json([]]})json",
+               &AppendRowsRequestFromJson);
+}
+
+TEST(WireGoldenTest, ResponsesEncodeToRecordedBytesAndRoundTrip) {
+  service::QueryResponse query;
+  query.handle = 9;
+  query.num_answers = 120;
+  query.num_attrs = 3;
+  query.confidence = 0.95;
+  query.approx = GoldenApprox();
+  query.stats = GoldenStats();
+  ExpectGolden(query,
+               R"json({"handle":9,"num_answers":120,"num_attrs":3,)json"
+               R"json("confidence":0.95,"approx":{"is_exact":false,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1},)json"
+               R"json("stats":{"latency_ms":1.25,"cache_hit":true,)json"
+               R"json("coalesced":false,"built":true,"refreshed":false,)json"
+               R"json("approximate":true,"sample_fraction":0.125,)json"
+               R"json("max_bound":0.1}})json",
+               &QueryResponseFromJson);
+
+  service::SummarizeResponse summarize;
+  summarize.solution = GoldenSolution();
+  summarize.approx = GoldenApprox();
+  summarize.stats = GoldenStats();
+  ExpectGolden(summarize,
+               R"json({"solution":{"cluster_ids":[3,1,4],"covered_sum":12.5,)json"
+               R"json("covered_count":5,"average":0.3333333333333333,)json"
+               R"json("covered_min":-0.5},"approx":{"is_exact":false,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1},)json"
+               R"json("stats":{"latency_ms":1.25,"cache_hit":true,)json"
+               R"json("coalesced":false,"built":true,"refreshed":false,)json"
+               R"json("approximate":true,"sample_fraction":0.125,)json"
+               R"json("max_bound":0.1}})json",
+               &SummarizeResponseFromJson);
+
+  service::GuidanceResponse guidance;
+  guidance.store_l = 12;
+  guidance.k_max = 9;
+  guidance.d_values = {1, 2};
+  guidance.min_ks = {2, 4};
+  guidance.num_intervals = 123456789012;
+  guidance.naive_entries = 42;
+  guidance.approx = GoldenApprox();
+  guidance.stats = GoldenStats();
+  ExpectGolden(guidance,
+               R"json({"store_l":12,"k_max":9,"d_values":[1,2],"min_ks":[2,)json"
+               R"json(4],"num_intervals":123456789012,"naive_entries":42,)json"
+               R"json("approx":{"is_exact":false,"sample_fraction":0.125,)json"
+               R"json("max_bound":0.1},"stats":{"latency_ms":1.25,)json"
+               R"json("cache_hit":true,"coalesced":false,"built":true,)json"
+               R"json("refreshed":false,"approximate":true,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1}})json",
+               &GuidanceResponseFromJson);
+
+  service::RetrieveResponse retrieve;
+  retrieve.solution = GoldenSolution();
+  retrieve.approx = GoldenApprox();
+  retrieve.stats = GoldenStats();
+  ExpectGolden(retrieve,
+               R"json({"solution":{"cluster_ids":[3,1,4],"covered_sum":12.5,)json"
+               R"json("covered_count":5,"average":0.3333333333333333,)json"
+               R"json("covered_min":-0.5},"approx":{"is_exact":false,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1},)json"
+               R"json("stats":{"latency_ms":1.25,"cache_hit":true,)json"
+               R"json("coalesced":false,"built":true,"refreshed":false,)json"
+               R"json("approximate":true,"sample_fraction":0.125,)json"
+               R"json("max_bound":0.1}})json",
+               &RetrieveResponseFromJson);
+
+  service::ExploreResponse explore;
+  explore.solution = GoldenSolution();
+  core::ClusterView cluster;
+  cluster.cluster_id = 4;
+  cluster.pattern = "(1980, *, M)";
+  cluster.average = 4.125;
+  cluster.count = 3;
+  cluster.top_count = 2;
+  cluster.member_ranks = {1, 2, 7};
+  explore.view.clusters = {cluster, core::ClusterView()};
+  explore.view.solution_average = 2.0 / 3.0;
+  explore.view.solution_count = 3;
+  explore.summary = "1. (1980, *, M)\tavg 4.125\n";
+  explore.expanded = "(1980, *, M)\n  #1 \"a\\b\" caf\xc3\xa9\n";
+  explore.approx = GoldenApprox();
+  explore.stats = GoldenStats();
+  ExpectGolden(explore,
+               R"json({"solution":{"cluster_ids":[3,1,4],"covered_sum":12.5,)json"
+               R"json("covered_count":5,"average":0.3333333333333333,)json"
+               R"json("covered_min":-0.5},)json"
+               R"json("view":{"clusters":[{"cluster_id":4,"pattern":"(1980,)json"
+               R"json( *, M)","average":4.125,"count":3,"top_count":2,)json"
+               R"json("member_ranks":[1,2,7]},{"cluster_id":-1,"pattern":"",)json"
+               R"json("average":0,"count":0,"top_count":0,)json"
+               R"json("member_ranks":[]}],)json"
+               R"json("solution_average":0.6666666666666666,)json"
+               R"json("solution_count":3},"summary":"1. (1980, *,)json"
+               R"json( M)\tavg 4.125\n","expanded":"(1980, *,)json"
+               R"json( M)\n  #1 \"a\\b\" café\n","approx":{"is_exact":false,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1},)json"
+               R"json("stats":{"latency_ms":1.25,"cache_hit":true,)json"
+               R"json("coalesced":false,"built":true,"refreshed":false,)json"
+               R"json("approximate":true,"sample_fraction":0.125,)json"
+               R"json("max_bound":0.1}})json",
+               &ExploreResponseFromJson);
+
+  service::RefineResponse refine;
+  refine.approx = service::ApproxMeta();
+  refine.stats = GoldenStats();
+  ExpectGolden(refine,
+               R"json({"approx":{"is_exact":true,"sample_fraction":1,)json"
+               R"json("max_bound":0},"stats":{"latency_ms":1.25,)json"
+               R"json("cache_hit":true,"coalesced":false,"built":true,)json"
+               R"json("refreshed":false,"approximate":true,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1}})json",
+               &RefineResponseFromJson);
+
+  service::AppendRowsResponse append;
+  append.version = 17;
+  append.stats = GoldenStats();
+  ExpectGolden(append,
+               R"json({"version":17,"stats":{"latency_ms":1.25,)json"
+               R"json("cache_hit":true,"coalesced":false,"built":true,)json"
+               R"json("refreshed":false,"approximate":true,)json"
+               R"json("sample_fraction":0.125,"max_bound":0.1}})json",
+               &AppendRowsResponseFromJson);
+
+  service::ServiceStats stats;
+  int64_t counter = 1;
+  stats.datasets = counter++;
+  stats.sessions = counter++;
+  stats.queries = counter++;
+  stats.query_cache_hits = counter++;
+  stats.query_coalesced = counter++;
+  stats.summarize_requests = counter++;
+  stats.guidance_requests = counter++;
+  stats.retrieve_requests = counter++;
+  stats.explore_requests = counter++;
+  stats.cache_hits = counter++;
+  stats.coalesced_waits = counter++;
+  stats.builds = counter++;
+  stats.refreshes = counter++;
+  stats.refresh_full_reuses = counter++;
+  stats.approx_queries = counter++;
+  stats.approx_served = counter++;
+  stats.refine_requests = counter++;
+  stats.refinements = counter++;
+  stats.refinements_superseded = counter++;
+  stats.graveyard_size = counter++;
+  stats.live_generations = counter++;
+  stats.generations_evicted = counter++;
+  stats.prefetch_issued = counter++;
+  stats.prefetch_hits = counter++;
+  stats.warm_start_loads = counter++;
+  stats.total_latency_ms = 1234.5;
+  stats.max_latency_ms = 0.75;
+  ExpectGolden(stats,
+               R"json({"datasets":1,"sessions":2,"queries":3,)json"
+               R"json("query_cache_hits":4,"query_coalesced":5,)json"
+               R"json("summarize_requests":6,"guidance_requests":7,)json"
+               R"json("retrieve_requests":8,"explore_requests":9,)json"
+               R"json("cache_hits":10,"coalesced_waits":11,"builds":12,)json"
+               R"json("refreshes":13,"refresh_full_reuses":14,)json"
+               R"json("approx_queries":15,"approx_served":16,)json"
+               R"json("refine_requests":17,"refinements":18,)json"
+               R"json("refinements_superseded":19,"graveyard_size":20,)json"
+               R"json("live_generations":21,"generations_evicted":22,)json"
+               R"json("prefetch_issued":23,"prefetch_hits":24,)json"
+               R"json("warm_start_loads":25,"total_latency_ms":1234.5,)json"
+               R"json("max_latency_ms":0.75,"requests":50})json",
+               &ServiceStatsFromJson);
+}
+
+TEST(WireGoldenTest, DecodeErrorsNameTheField) {
+  // Requests: a missing field, then a mistyped one.
+  EXPECT_EQ(DecodeError(&QueryRequestFromJson, R"({"value_column":"v"})"),
+            "missing field \"sql\"");
+  EXPECT_EQ(DecodeError(&QueryRequestFromJson,
+                        R"({"sql":"s","value_column":"v",)"
+                        R"("options":{"mode":"fast","confidence":0.9}})"),
+            "unknown query mode \"fast\"");
+  EXPECT_EQ(DecodeError(&QueryRequestFromJson,
+                        R"({"sql":"s","value_column":"v",)"
+                        R"("options":{"mode":"approx_only",)"
+                        R"("confidence":"x"}})"),
+            "field \"confidence\" must be a number");
+  EXPECT_EQ(DecodeError(&SummarizeRequestFromJson, R"({"handle":1})"),
+            "missing field \"params\"");
+  EXPECT_EQ(DecodeError(&SummarizeRequestFromJson,
+                        R"({"handle":1,"params":{"k":"4","L":8,"D":2}})"),
+            "field \"k\" must be an integer");
+  EXPECT_EQ(DecodeError(&GuidanceRequestFromJson, R"({"handle":1})"),
+            "missing field \"top_l\"");
+  EXPECT_EQ(DecodeError(&GuidanceRequestFromJson,
+                        R"({"handle":1,"top_l":8,"options":{"k_min":2,)"
+                        R"("k_max":4,"d_values":[1,"2"],"c":3,)"
+                        R"("use_delta_judgment":true}})"),
+            "field \"d_values\" must hold integers");
+  EXPECT_EQ(DecodeError(&RetrieveRequestFromJson,
+                        R"({"handle":1,"top_l":8,"d":2})"),
+            "missing field \"k\"");
+  EXPECT_EQ(DecodeError(&RetrieveRequestFromJson,
+                        R"({"handle":1.5,"top_l":8,"d":2,"k":3})"),
+            "field \"handle\" must be an integer");
+  EXPECT_EQ(DecodeError(&ExploreRequestFromJson,
+                        R"({"params":{"k":4,"L":8,"D":2}})"),
+            "missing field \"handle\"");
+  EXPECT_EQ(DecodeError(&ExploreRequestFromJson,
+                        R"({"handle":1,"params":{"k":4,"L":8,"D":2},)"
+                        R"("max_members":"all"})"),
+            "field \"max_members\" must be an integer");
+  EXPECT_EQ(DecodeError(&RefineRequestFromJson, R"({})"),
+            "missing field \"handle\"");
+  EXPECT_EQ(DecodeError(&RefineRequestFromJson, R"({"handle":null})"),
+            "field \"handle\" must be an integer");
+  EXPECT_EQ(DecodeError(&AppendRowsRequestFromJson, R"({"rows":[]})"),
+            "missing field \"dataset\"");
+  EXPECT_EQ(DecodeError(&AppendRowsRequestFromJson,
+                        R"({"dataset":"t","rows":[1]})"),
+            "\"rows\" must be an array of arrays");
+  EXPECT_EQ(DecodeError(&AppendRowsRequestFromJson,
+                        R"({"dataset":"t","rows":[[true]]})"),
+            "row cells must be null, string, or number");
+  EXPECT_EQ(DecodeError(&QueryRequestFromJson, R"([])"),
+            "expected a JSON object");
+
+  // Responses and ServiceStats.
+  const std::string approx =
+      R"("approx":{"is_exact":true,"sample_fraction":1,"max_bound":0})";
+  const std::string stats =
+      R"("stats":{"latency_ms":1,"cache_hit":false,"coalesced":false,)"
+      R"("built":false,"refreshed":false,"approximate":false,)"
+      R"("sample_fraction":1,"max_bound":0})";
+  const std::string solution =
+      R"("solution":{"cluster_ids":[1],"covered_sum":1,"covered_count":1,)"
+      R"("average":1,"covered_min":1})";
+  EXPECT_EQ(DecodeError(&QueryResponseFromJson,
+                        R"({"handle":1,"num_answers":3,"confidence":0,)" +
+                            approx + "," + stats + "}"),
+            "missing field \"num_attrs\"");
+  EXPECT_EQ(DecodeError(&QueryResponseFromJson,
+                        R"({"handle":1,"num_answers":3,"num_attrs":2,)"
+                        R"("confidence":0,"approx":{"is_exact":1,)"
+                        R"("sample_fraction":1,"max_bound":0},)" +
+                            stats + "}"),
+            "field \"is_exact\" must be a boolean");
+  EXPECT_EQ(DecodeError(&SummarizeResponseFromJson,
+                        "{" + solution + "," + approx + "}"),
+            "missing field \"stats\"");
+  EXPECT_EQ(DecodeError(&SummarizeResponseFromJson,
+                        R"({"solution":{"cluster_ids":[1],"covered_sum":1,)"
+                        R"("covered_count":1,"average":"high",)"
+                        R"("covered_min":1},)" +
+                            approx + "," + stats + "}"),
+            "field \"average\" must be a number");
+  EXPECT_EQ(DecodeError(&GuidanceResponseFromJson,
+                        R"({"store_l":8,"k_max":4,"d_values":[1],)"
+                        R"("num_intervals":3,"naive_entries":4,)" +
+                            approx + "," + stats + "}"),
+            "missing field \"min_ks\"");
+  EXPECT_EQ(DecodeError(&GuidanceResponseFromJson,
+                        R"({"store_l":8,"k_max":4,"d_values":1,"min_ks":[2],)"
+                        R"("num_intervals":3,"naive_entries":4,)" +
+                            approx + "," + stats + "}"),
+            "field \"d_values\" must be an array");
+  EXPECT_EQ(DecodeError(&RetrieveResponseFromJson,
+                        "{" + approx + "," + stats + "}"),
+            "missing field \"solution\"");
+  EXPECT_EQ(DecodeError(&RetrieveResponseFromJson,
+                        "{" + solution + "," + approx +
+                            R"(,"stats":{"latency_ms":1,"cache_hit":"no"}})"),
+            "field \"cache_hit\" must be a boolean");
+  EXPECT_EQ(DecodeError(&ExploreResponseFromJson,
+                        "{" + solution +
+                            R"(,"view":{"clusters":[],"solution_average":1,)"
+                            R"("solution_count":1},"summary":"s",)" +
+                            approx + "," + stats + "}"),
+            "missing field \"expanded\"");
+  EXPECT_EQ(DecodeError(&ExploreResponseFromJson,
+                        "{" + solution +
+                            R"(,"view":{"clusters":{},"solution_average":1,)"
+                            R"("solution_count":1},"summary":"s",)"
+                            R"("expanded":"e",)" +
+                            approx + "," + stats + "}"),
+            "\"clusters\" must be an array");
+  EXPECT_EQ(DecodeError(&ExploreResponseFromJson,
+                        "{" + solution +
+                            R"(,"view":{"clusters":[{"cluster_id":1,)"
+                            R"("pattern":7}],"solution_average":1,)"
+                            R"("solution_count":1},"summary":"s",)"
+                            R"("expanded":"e",)" +
+                            approx + "," + stats + "}"),
+            "field \"pattern\" must be a string");
+  EXPECT_EQ(DecodeError(&RefineResponseFromJson, "{" + stats + "}"),
+            "missing field \"approx\"");
+  EXPECT_EQ(DecodeError(&RefineResponseFromJson,
+                        R"({"approx":[],)" + stats + "}"),
+            "expected a JSON object");
+  EXPECT_EQ(DecodeError(&AppendRowsResponseFromJson, "{" + stats + "}"),
+            "missing field \"version\"");
+  EXPECT_EQ(DecodeError(&AppendRowsResponseFromJson,
+                        R"({"version":"1",)" + stats + "}"),
+            "field \"version\" must be an integer");
+  EXPECT_EQ(DecodeError(&ServiceStatsFromJson, R"({"datasets":1})"),
+            "missing field \"sessions\"");
+  EXPECT_EQ(DecodeError(&ServiceStatsFromJson, R"({"datasets":true})"),
+            "field \"datasets\" must be an integer");
+}
+
 }  // namespace
 }  // namespace qagview::server

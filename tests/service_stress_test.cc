@@ -65,27 +65,27 @@ struct Footprint {
 constexpr int kNumOps = 6;
 Result<Footprint> RunOp(QueryService& service, int op) {
   const char* sql = (op % 2 == 0) ? kSqlCoarse : kSqlFine;
-  QAG_ASSIGN_OR_RETURN(QueryInfo info, service.Query(sql, "val"));
-  Footprint out;
+  QAG_ASSIGN_OR_RETURN(QueryResponse info, service.Query({sql, "val"}));
+  core::Solution s;
   switch (op) {
     case 0: {
-      QAG_ASSIGN_OR_RETURN(core::Solution s,
-                           service.Summarize(info.handle, {4, 12, 2}));
-      out = {s.cluster_ids, s.average, s.covered_count};
+      QAG_ASSIGN_OR_RETURN(SummarizeResponse r,
+                           service.Summarize({info.handle, {4, 12, 2}}));
+      s = r.solution;
       break;
     }
     case 1: {
-      QAG_ASSIGN_OR_RETURN(core::Solution s,
-                           service.Summarize(info.handle, {5, 15, 1}));
-      out = {s.cluster_ids, s.average, s.covered_count};
+      QAG_ASSIGN_OR_RETURN(SummarizeResponse r,
+                           service.Summarize({info.handle, {5, 15, 1}}));
+      s = r.solution;
       break;
     }
     case 2: {
       QAG_RETURN_IF_ERROR(
-          service.Guidance(info.handle, 14, GridOptions()).status());
-      QAG_ASSIGN_OR_RETURN(core::Solution s,
-                           service.Retrieve(info.handle, 14, 2, 6));
-      out = {s.cluster_ids, s.average, s.covered_count};
+          service.Guidance({info.handle, 14, GridOptions()}).status());
+      QAG_ASSIGN_OR_RETURN(RetrieveResponse r,
+                           service.Retrieve({info.handle, 14, 2, 6}));
+      s = r.solution;
       break;
     }
     case 3: {
@@ -93,29 +93,28 @@ Result<Footprint> RunOp(QueryService& service, int op) {
       // key per session, exactly one store can ever exist, so which
       // client's call built it cannot change what Retrieve returns.
       QAG_RETURN_IF_ERROR(
-          service.Guidance(info.handle, 14, GridOptions()).status());
-      QAG_ASSIGN_OR_RETURN(core::Solution s,
-                           service.Retrieve(info.handle, 12, 1, 4));
-      out = {s.cluster_ids, s.average, s.covered_count};
+          service.Guidance({info.handle, 14, GridOptions()}).status());
+      QAG_ASSIGN_OR_RETURN(RetrieveResponse r,
+                           service.Retrieve({info.handle, 12, 1, 4}));
+      s = r.solution;
       break;
     }
     case 4: {
-      QAG_ASSIGN_OR_RETURN(ExploreResult e,
-                           service.Explore(info.handle, {4, 10, 2}));
-      out = {e.solution.cluster_ids, e.solution.average,
-             e.solution.covered_count};
+      QAG_ASSIGN_OR_RETURN(ExploreResponse r,
+                           service.Explore({info.handle, {4, 10, 2}}));
+      s = r.solution;
       break;
     }
     default: {
       QAG_RETURN_IF_ERROR(
-          service.Guidance(info.handle, 14, GridOptions()).status());
-      QAG_ASSIGN_OR_RETURN(core::Solution s,
-                           service.Retrieve(info.handle, 10, 2, 7));
-      out = {s.cluster_ids, s.average, s.covered_count};
+          service.Guidance({info.handle, 14, GridOptions()}).status());
+      QAG_ASSIGN_OR_RETURN(RetrieveResponse r,
+                           service.Retrieve({info.handle, 10, 2, 7}));
+      s = r.solution;
       break;
     }
   }
-  return out;
+  return Footprint{s.cluster_ids, s.average, s.covered_count};
 }
 
 /// Opens both sessions and pre-warms each one's widest universe (L=16) so
@@ -126,9 +125,9 @@ Result<Footprint> RunOp(QueryService& service, int op) {
 /// session, accounted for in the stats assertions below).
 void WarmUp(QueryService& service) {
   for (const char* sql : {kSqlCoarse, kSqlFine}) {
-    auto info = service.Query(sql, "val");
+    auto info = service.Query({sql, "val"});
     QAG_CHECK(info.ok()) << info.status().ToString();
-    auto solution = service.Summarize(info->handle, {4, 16, 1});
+    auto solution = service.Summarize({info->handle, {4, 16, 1}});
     QAG_CHECK(solution.ok()) << solution.status().ToString();
   }
 }
@@ -178,14 +177,14 @@ void RunMixedWorkload(int clients) {
   //  * 2 distinct queries → exactly 2 sessions, however many Query calls;
   //  * each session: one universe build (the pre-warm) and exactly one
   //    precompute per distinct (L, options) grid shape.
-  QueryService::Stats stats = service->stats();
+  ServiceStats stats = service->stats();
   EXPECT_EQ(stats.sessions, 2);
   EXPECT_EQ(stats.queries,
             2 + static_cast<int64_t>(clients) * kRounds * kNumOps);
   EXPECT_EQ(stats.query_cache_hits, stats.queries - 2 - stats.query_coalesced);
 
   for (const char* sql : {kSqlCoarse, kSqlFine}) {
-    auto info = service->Query(sql, "val");
+    auto info = service->Query({sql, "val"});
     ASSERT_TRUE(info.ok());
     auto cache = service->SessionCacheStats(info->handle);
     ASSERT_TRUE(cache.ok());
@@ -242,7 +241,7 @@ TEST(ServiceStressTest, ConcurrentIdenticalQueriesCoalesce) {
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
       latch.ArriveAndWait();
-      auto info = service->Query(kSqlCoarse, "val");
+      auto info = service->Query({kSqlCoarse, "val"});
       ASSERT_TRUE(info.ok()) << info.status().ToString();
       handles[static_cast<size_t>(t)] = info->handle;
     });
@@ -253,7 +252,7 @@ TEST(ServiceStressTest, ConcurrentIdenticalQueriesCoalesce) {
   for (int t = 1; t < kClients; ++t) {
     EXPECT_EQ(handles[static_cast<size_t>(t)], handles[0]);
   }
-  QueryService::Stats stats = service->stats();
+  ServiceStats stats = service->stats();
   EXPECT_EQ(stats.sessions, 1);
   EXPECT_EQ(stats.queries, kClients);
   // One build; everyone else either hit the cache directly or waited on
@@ -263,32 +262,29 @@ TEST(ServiceStressTest, ConcurrentIdenticalQueriesCoalesce) {
 
 TEST(ServiceStressTest, ConcurrentGuidanceOnSharedSessionSingleFlight) {
   auto service = MakeService();
-  auto info = service->Query(kSqlCoarse, "val");
+  auto info = service->Query({kSqlCoarse, "val"});
   ASSERT_TRUE(info.ok());
   testutil::StartLatch latch(kClients);
-  std::vector<RequestStats> stats(kClients);
-  // Handles, not raw pointers: each client pins the store it was served.
-  std::vector<std::shared_ptr<const core::SolutionStore>> stores(kClients);
+  std::vector<GuidanceResponse> responses(kClients);
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&, t] {
       latch.ArriveAndWait();
-      auto store = service->Guidance(info->handle, 14, GridOptions(),
-                                     &stats[static_cast<size_t>(t)]);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      stores[static_cast<size_t>(t)] = *store;
+      auto grid = service->Guidance({info->handle, 14, GridOptions()});
+      ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+      responses[static_cast<size_t>(t)] = *grid;
     });
   }
   for (auto& t : threads) t.join();
 
-  for (int t = 1; t < kClients; ++t) {
-    EXPECT_EQ(stores[static_cast<size_t>(t)], stores[0]);
-  }
   int built = 0, coalesced = 0, hit = 0;
-  for (const RequestStats& s : stats) {
-    built += s.built ? 1 : 0;
-    coalesced += s.coalesced ? 1 : 0;
-    hit += s.cache_hit ? 1 : 0;
+  for (const GuidanceResponse& r : responses) {
+    // Every client was served the one grid.
+    EXPECT_EQ(r.num_intervals, responses[0].num_intervals);
+    EXPECT_EQ(r.min_ks, responses[0].min_ks);
+    built += r.stats.built ? 1 : 0;
+    coalesced += r.stats.coalesced ? 1 : 0;
+    hit += r.stats.cache_hit ? 1 : 0;
   }
   EXPECT_EQ(built, 1);  // exactly one client paid for the precompute
   EXPECT_EQ(built + coalesced + hit, kClients);

@@ -115,7 +115,7 @@ TEST(DatasetCatalogTest, AppendRowsPublishesNewSnapshotOldReadersKeepTheirs) {
 
 TEST(QueryServiceTest, QueryCachesSessionsPerSqlAndValueColumn) {
   auto service = MakeService();
-  auto first = service->Query(kSqlCoarse, "val");
+  auto first = service->Query({kSqlCoarse, "val"});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->handle, 0);
   EXPECT_GT(first->num_answers, 20);
@@ -124,19 +124,20 @@ TEST(QueryServiceTest, QueryCachesSessionsPerSqlAndValueColumn) {
   EXPECT_FALSE(first->stats.cache_hit);
 
   // Identical SQL (modulo surrounding whitespace) reuses the session.
-  auto again = service->Query(std::string("  ") + kSqlCoarse + "\n", "val");
+  auto again =
+      service->Query({std::string("  ") + kSqlCoarse + "\n", "val"});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->handle, first->handle);
   EXPECT_TRUE(again->stats.cache_hit);
   EXPECT_FALSE(again->stats.built);
 
   // A different query opens a second session.
-  auto fine = service->Query(kSqlFine, "val");
+  auto fine = service->Query({kSqlFine, "val"});
   ASSERT_TRUE(fine.ok()) << fine.status().ToString();
   EXPECT_NE(fine->handle, first->handle);
   EXPECT_EQ(fine->num_attrs, 4);
 
-  QueryService::Stats stats = service->stats();
+  ServiceStats stats = service->stats();
   EXPECT_EQ(stats.datasets, 1);
   EXPECT_EQ(stats.sessions, 2);
   EXPECT_EQ(stats.queries, 3);
@@ -145,17 +146,18 @@ TEST(QueryServiceTest, QueryCachesSessionsPerSqlAndValueColumn) {
 
 TEST(QueryServiceTest, QueryErrorPaths) {
   auto service = MakeService();
-  EXPECT_FALSE(service->Query("", "val").ok());
-  EXPECT_FALSE(service->Query("   \n ", "val").ok());
+  EXPECT_FALSE(service->Query({"", "val"}).ok());
+  EXPECT_FALSE(service->Query({"   \n ", "val"}).ok());
   // Unknown table.
   EXPECT_FALSE(
-      service->Query("SELECT g0, avg(rating) AS val FROM nope GROUP BY g0",
-                    "val")
+      service
+          ->Query({"SELECT g0, avg(rating) AS val FROM nope GROUP BY g0",
+                   "val"})
           .ok());
   // Unparseable SQL.
-  EXPECT_FALSE(service->Query("SELEC oops", "val").ok());
+  EXPECT_FALSE(service->Query({"SELEC oops", "val"}).ok());
   // Missing value column in the result.
-  EXPECT_FALSE(service->Query(kSqlCoarse, "no_such_column").ok());
+  EXPECT_FALSE(service->Query({kSqlCoarse, "no_such_column"}).ok());
   // Failed queries are not cached (no session entries).
   EXPECT_EQ(service->stats().sessions, 0);
   EXPECT_EQ(service->stats().queries, 5);
@@ -163,14 +165,13 @@ TEST(QueryServiceTest, QueryErrorPaths) {
 
 TEST(QueryServiceTest, SummarizeMatchesDirectCorePipeline) {
   auto service = MakeService();
-  auto query = service->Query(kSqlCoarse, "val");
+  auto query = service->Query({kSqlCoarse, "val"});
   ASSERT_TRUE(query.ok());
   core::Params params{4, 10, 1};
-  RequestStats stats;
-  auto via_service = service->Summarize(query->handle, params, &stats);
+  auto via_service = service->Summarize({query->handle, params});
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
-  EXPECT_TRUE(stats.built);  // first request built the universe
-  EXPECT_GE(stats.latency_ms, 0.0);
+  EXPECT_TRUE(via_service->stats.built);  // first request built the universe
+  EXPECT_GE(via_service->stats.latency_ms, 0.0);
 
   // Same pipeline assembled by hand must agree bit-for-bit.
   sql::Catalog catalog;
@@ -182,49 +183,52 @@ TEST(QueryServiceTest, SummarizeMatchesDirectCorePipeline) {
   ASSERT_TRUE(session.ok());
   auto direct = (*session)->Summarize(params);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(via_service->cluster_ids, direct->cluster_ids);
-  EXPECT_EQ(via_service->average, direct->average);
+  EXPECT_EQ(via_service->solution.cluster_ids, direct->cluster_ids);
+  EXPECT_EQ(via_service->solution.average, direct->average);
 
   // Second request over the same parameters is a cache hit.
-  RequestStats second;
-  ASSERT_TRUE(service->Summarize(query->handle, params, &second).ok());
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_FALSE(second.built);
+  auto second = service->Summarize({query->handle, params});
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->stats.cache_hit);
+  EXPECT_FALSE(second->stats.built);
 }
 
 TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   auto service = MakeService();
-  auto query = service->Query(kSqlCoarse, "val");
+  auto query = service->Query({kSqlCoarse, "val"});
   ASSERT_TRUE(query.ok());
 
   core::PrecomputeOptions options;
   options.k_min = 2;
   options.k_max = 8;
   options.d_values = {1, 2};
-  RequestStats guidance_stats;
-  auto store =
-      service->Guidance(query->handle, 12, options, &guidance_stats);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_TRUE(guidance_stats.built);
+  auto guidance = service->Guidance({query->handle, 12, options});
+  ASSERT_TRUE(guidance.ok()) << guidance.status().ToString();
+  EXPECT_TRUE(guidance->stats.built);
+  EXPECT_EQ(guidance->store_l, 12);
+  EXPECT_EQ(guidance->d_values, std::vector<int>({1, 2}));
 
-  RequestStats retrieve_stats;
-  auto retrieved =
-      service->Retrieve(query->handle, 12, 2, 5, &retrieve_stats);
+  auto retrieved = service->Retrieve({query->handle, 12, 2, 5});
   ASSERT_TRUE(retrieved.ok()) << retrieved.status().ToString();
-  EXPECT_TRUE(retrieve_stats.cache_hit);
+  EXPECT_TRUE(retrieved->stats.cache_hit);
+  // The pinned store accessor serves the same grid without counting a
+  // request.
+  auto store = service->GuidanceStore(query->handle, 12, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto from_store = (*store)->Retrieve(2, 5);
   ASSERT_TRUE(from_store.ok());
-  EXPECT_EQ(retrieved->cluster_ids, from_store->cluster_ids);
+  EXPECT_EQ(retrieved->solution.cluster_ids, from_store->cluster_ids);
 
   // Retrieve without a covering grid fails through the service too.
-  EXPECT_FALSE(service->Retrieve(query->handle, 30, 2, 5).ok());
+  EXPECT_FALSE(service->Retrieve({query->handle, 30, 2, 5}).ok());
 
   core::Params params{4, 12, 2};
-  auto explored = service->Explore(query->handle, params, /*max_members=*/3);
+  auto explored =
+      service->Explore({query->handle, params, /*max_members=*/3});
   ASSERT_TRUE(explored.ok()) << explored.status().ToString();
-  auto solution = service->Summarize(query->handle, params);
+  auto solution = service->Summarize({query->handle, params});
   ASSERT_TRUE(solution.ok());
-  EXPECT_EQ(explored->solution.cluster_ids, solution->cluster_ids);
+  EXPECT_EQ(explored->solution.cluster_ids, solution->solution.cluster_ids);
   EXPECT_EQ(explored->view.clusters.size(),
             explored->solution.cluster_ids.size());
   EXPECT_FALSE(explored->summary.empty());
@@ -232,7 +236,7 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
   // The rendered layers name the grouping attributes from the SQL result.
   EXPECT_NE(explored->summary.find("g0"), std::string::npos);
 
-  QueryService::Stats stats = service->stats();
+  ServiceStats stats = service->stats();
   EXPECT_EQ(stats.guidance_requests, 1);
   EXPECT_EQ(stats.retrieve_requests, 2);
   EXPECT_EQ(stats.explore_requests, 1);
@@ -243,9 +247,9 @@ TEST(QueryServiceTest, GuidanceRetrieveAndExplore) {
 
 TEST(QueryServiceTest, TypedAccessorsAllowGuidancePersistence) {
   auto service = MakeService();
-  auto query = service->Query(kSqlCoarse, "val");
+  auto query = service->Query({kSqlCoarse, "val"});
   ASSERT_TRUE(query.ok());
-  ASSERT_TRUE(service->Guidance(query->handle, 10).ok());
+  ASSERT_TRUE(service->Guidance({query->handle, 10}).ok());
 
   std::string path = testing::TempDir() + "/qagview_service_guidance.txt";
   EXPECT_TRUE(service->SaveGuidance(query->handle, 10, path).ok());
@@ -257,7 +261,8 @@ TEST(QueryServiceTest, TypedAccessorsAllowGuidancePersistence) {
   EXPECT_FALSE(service->SaveGuidance(99, 10, path).ok());
   EXPECT_FALSE(service->SessionCacheStats(-1).ok());
   EXPECT_FALSE(service->Answers(99).ok());
-  EXPECT_FALSE(service->Summarize(99, {4, 8, 1}).ok());
+  EXPECT_FALSE(service->GuidanceStore(99, 10).ok());
+  EXPECT_FALSE(service->Summarize({99, {4, 8, 1}}).ok());
 }
 
 TEST(QueryServiceTest, RegisterCsvFileEndToEnd) {
@@ -271,12 +276,12 @@ TEST(QueryServiceTest, RegisterCsvFileEndToEnd) {
   EXPECT_EQ(service.dataset_names(),
             std::vector<std::string>{"csv_ratings"});
   auto query = service.Query(
-      "SELECT g0, g1, avg(rating) AS val FROM csv_ratings "
-      "GROUP BY g0, g1 ORDER BY val DESC",
-      "val");
+      {"SELECT g0, g1, avg(rating) AS val FROM csv_ratings "
+       "GROUP BY g0, g1 ORDER BY val DESC",
+       "val"});
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   EXPECT_GT(query->num_answers, 5);
-  auto solution = service.Summarize(query->handle, {3, 6, 1});
+  auto solution = service.Summarize({query->handle, {3, 6, 1}});
   ASSERT_TRUE(solution.ok()) << solution.status().ToString();
 
   EXPECT_FALSE(service.RegisterCsvFile("missing", path + ".nope").ok());
