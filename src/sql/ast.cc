@@ -126,6 +126,15 @@ bool Expr::ContainsCall() const {
   return false;
 }
 
+void CollectCalls(const Expr& expr, std::vector<const Expr*>* calls) {
+  if (expr.kind == ExprKind::kCall) {
+    calls->push_back(&expr);
+    return;
+  }
+  if (expr.left) CollectCalls(*expr.left, calls);
+  if (expr.right) CollectCalls(*expr.right, calls);
+}
+
 std::string SelectItem::OutputName() const {
   return alias.empty() ? expr->ToString() : alias;
 }

@@ -66,6 +66,10 @@ struct Expr {
   bool ContainsCall() const;
 };
 
+/// Appends (pointers to) every aggregate-call node in `expr`, outermost
+/// first; the arguments of a call are not searched.
+void CollectCalls(const Expr& expr, std::vector<const Expr*>* calls);
+
 /// One SELECT-list entry: expression plus optional alias.
 struct SelectItem {
   std::unique_ptr<Expr> expr;

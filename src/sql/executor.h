@@ -63,7 +63,10 @@ class Catalog {
 /// Supports the paper's aggregate template — WHERE filter, GROUP BY over any
 /// columns, aggregates (count/count(*)/sum/avg/min/max) in the select list
 /// and HAVING, expressions over aggregates and grouping columns, ORDER BY
-/// output columns, LIMIT — plus plain (non-grouped) projections.
+/// output columns, LIMIT — plus plain (non-grouped) projections. Output
+/// columns take the static type of their expression (INT64 for one that is
+/// always NULL). Arithmetic or a comparison mixing strings and numbers, and
+/// sum/avg of a string, fail with InvalidArgument; INT64 arithmetic wraps.
 Result<storage::Table> ExecuteSelect(const SelectStatement& stmt,
                                      const Catalog& catalog);
 

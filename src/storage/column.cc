@@ -55,9 +55,16 @@ void Column::AppendDouble(double v) {
   valid_.push_back(1);
 }
 
-void Column::AppendString(std::string_view v) {
+int32_t Column::AppendString(std::string_view v) {
   QAG_DCHECK(type_ == ValueType::kString);
-  codes_.push_back(dict_->Intern(v));
+  AppendCode(dict_->Intern(v));
+  return codes_.back();
+}
+
+void Column::AppendCode(int32_t code) {
+  QAG_DCHECK(type_ == ValueType::kString && code >= 0 &&
+             code < dict_->size());
+  codes_.push_back(code);
   valid_.push_back(1);
 }
 

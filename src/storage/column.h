@@ -35,7 +35,9 @@ class Column {
   /// Typed appends (hot paths in the data generators).
   void AppendInt(int64_t v);
   void AppendDouble(double v);
-  void AppendString(std::string_view v);
+  /// Returns the cell's dictionary code, which AppendCode takes.
+  int32_t AppendString(std::string_view v);
+  void AppendCode(int32_t code);
   void AppendNull();
 
   bool IsNull(int64_t row) const { return !valid_[static_cast<size_t>(row)]; }
@@ -53,6 +55,15 @@ class Column {
 
   /// The dictionary backing a string column.
   const Dictionary& dictionary() const;
+
+  /// Read-only views of the native arrays, indexed by row: ints() of an
+  /// INT64 column, doubles() of a DOUBLE one, codes() into dictionary() of a
+  /// STRING one. valid() is 1 for a present cell and 0 for NULL, whose typed
+  /// slot holds 0 (code -1).
+  const std::vector<int64_t>& ints() const { return ints_; }
+  const std::vector<double>& doubles() const { return doubles_; }
+  const std::vector<int32_t>& codes() const { return codes_; }
+  const std::vector<uint8_t>& valid() const { return valid_; }
 
  private:
   ValueType type_;

@@ -14,6 +14,17 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Table::Table(Schema schema, std::vector<Column> columns)
+    : schema_(std::move(schema)) {
+  QAG_CHECK(static_cast<int>(columns.size()) == schema_.num_fields());
+  num_rows_ = columns.empty() ? 0 : columns[0].size();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    QAG_CHECK(columns[i].type() == schema_.field(static_cast<int>(i)).type &&
+              columns[i].size() == num_rows_);
+    columns_.push_back(std::make_unique<Column>(std::move(columns[i])));
+  }
+}
+
 Table Table::Clone() const {
   Table out(schema_);
   for (int i = 0; i < num_columns(); ++i) {

@@ -20,6 +20,10 @@ class Table {
  public:
   explicit Table(Schema schema);
 
+  /// Adopts built columns, one per field, each of its field's type and all
+  /// of one length.
+  Table(Schema schema, std::vector<Column> columns);
+
   // Tables own sizable column data; pass by pointer/reference instead.
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;

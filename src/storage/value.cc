@@ -66,26 +66,24 @@ std::string Value::ToString() const {
 }
 
 bool Value::operator==(const Value& other) const {
-  if (is_null() || other.is_null()) return is_null() && other.is_null();
   if (type_ == ValueType::kString || other.type_ == ValueType::kString) {
     return type_ == other.type_ && string_ == other.string_;
   }
-  return ToDouble() == other.ToDouble();
+  return Compare(other) == 0;
 }
 
 int Value::Compare(const Value& other) const {
-  if (is_null() && other.is_null()) return 0;
-  if (is_null()) return -1;
-  if (other.is_null()) return 1;
+  if (is_null() || other.is_null()) return other.is_null() - is_null();
   if (type_ == ValueType::kString && other.type_ == ValueType::kString) {
     int c = string_.compare(other.string_);
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
   QAG_CHECK(type_ != ValueType::kString && other.type_ != ValueType::kString)
       << "cannot compare " << ToString() << " with " << other.ToString();
-  double a = ToDouble();
-  double b = other.ToDouble();
-  return a < b ? -1 : (a > b ? 1 : 0);
+  if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
+    return (int_ > other.int_) - (int_ < other.int_);
+  }
+  return CompareDoubles(ToDouble(), other.ToDouble());
 }
 
 }  // namespace qagview::storage

@@ -14,6 +14,13 @@ enum class ValueType { kNull, kInt64, kDouble, kString };
 
 const char* ValueTypeToString(ValueType type);
 
+/// Total order on doubles: -0.0 equals 0.0, and every NaN equals every
+/// other NaN and sorts above all numbers (PostgreSQL's order).
+inline int CompareDoubles(double a, double b) {
+  if (a != a || b != b) return (a != a) - (b != b);
+  return (a > b) - (a < b);
+}
+
 /// \brief A dynamically-typed scalar: NULL, 64-bit int, double, or string.
 ///
 /// Used at API boundaries (query literals, CSV cells, result rows). Hot
@@ -71,13 +78,14 @@ class Value {
   /// Human-readable form ("NULL", "42", "3.14", "abc").
   std::string ToString() const;
 
-  /// Equality with int/double coercion (1 == 1.0). NULL != anything,
-  /// including NULL (SQL semantics are applied at the expression layer; this
-  /// operator treats two NULLs as equal so Values can live in containers).
+  /// Equality under Compare (1 == 1.0, -0.0 == 0.0, NaN == NaN). SQL NULL
+  /// semantics are applied at the expression layer; this operator treats
+  /// two NULLs as equal so Values can live in containers.
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
-  /// Three-way compare: -1/0/1. Numerics coerce; strings compare
+  /// Three-way compare: -1/0/1. Two INT64s compare exactly; other numeric
+  /// pairs compare as doubles (CompareDoubles); strings compare
   /// lexicographically; NULL sorts before everything. Comparing a string
   /// with a numeric is a programming error.
   int Compare(const Value& other) const;

@@ -2,11 +2,13 @@
 // multi-key ordering, case-insensitivity, and unsupported-syntax errors.
 // (Core template coverage lives in sql_test.cc.)
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "sql/executor.h"
+#include "storage/csv.h"
 #include "storage/table.h"
 
 namespace qagview::sql {
@@ -160,6 +162,17 @@ TEST_F(SqlEdgeTest, UnsupportedSyntaxFailsCleanly) {
   EXPECT_FALSE(Run("").ok());
 }
 
+TEST_F(SqlEdgeTest, StringNumberMixesFailCleanly) {
+  EXPECT_FALSE(Run("SELECT g + 1 AS s FROM t").ok());
+  EXPECT_FALSE(Run("SELECT -g AS s FROM t").ok());
+  EXPECT_FALSE(Run("SELECT x FROM t WHERE g > 1").ok());
+  EXPECT_FALSE(Run("SELECT g, sum(g) AS s FROM t GROUP BY g").ok());
+  // Rejected from the statement alone, even when no row would reach it.
+  EXPECT_FALSE(Run("SELECT x FROM t WHERE x > 100 AND g = 2").ok());
+  // min/max order strings; NOT and AND/OR read a string's truthiness.
+  EXPECT_TRUE(Run("SELECT max(g) AS m FROM t WHERE NOT (g) OR g").ok());
+}
+
 TEST_F(SqlEdgeTest, HavingOnAvgAndGroupColumn) {
   auto r = Run(
       "SELECT g, avg(x) AS m FROM t GROUP BY g "
@@ -179,6 +192,69 @@ TEST_F(SqlEdgeTest, WhereOnStringEquality) {
   ASSERT_TRUE(ne.ok());
   EXPECT_EQ(ne->num_rows(), 1);
   EXPECT_EQ(ne->Get(0, 0).as_int(), 3);
+}
+
+// Ids 2^53 and 2^53 + 1 are one double: INT64 values must compare as
+// integers in MIN/MAX, WHERE, ORDER BY and GROUP BY.
+TEST(SqlEdgeBigIntTest, IntsBeyond2To53CompareExactly) {
+  constexpr int64_t kLow = int64_t{1} << 53;  // 9007199254740992
+  Table t(Schema({{"id", ValueType::kInt64}}));
+  for (int64_t id : {kLow, kLow + 1, kLow, kLow + 1}) {
+    QAG_CHECK_OK(t.AppendRow({Value::Int(id)}));
+  }
+  Catalog catalog;
+  catalog.Register("t", &t);
+  auto extremes =
+      ExecuteSql("SELECT max(id) AS hi, min(id) AS lo FROM t", catalog);
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  EXPECT_EQ(extremes->Get(0, 0).as_int(), kLow + 1);
+  EXPECT_EQ(extremes->Get(0, 1).as_int(), kLow);
+
+  auto eq = ExecuteSql("SELECT id FROM t WHERE id = 9007199254740993", catalog);
+  ASSERT_TRUE(eq.ok());
+  ASSERT_EQ(eq->num_rows(), 2);
+  EXPECT_EQ(eq->Get(0, 0).as_int(), kLow + 1);
+
+  auto ordered = ExecuteSql("SELECT id FROM t ORDER BY id DESC", catalog);
+  ASSERT_TRUE(ordered.ok());
+  ASSERT_EQ(ordered->num_rows(), 4);
+  EXPECT_EQ(ordered->Get(0, 0).as_int(), kLow + 1);
+  EXPECT_EQ(ordered->Get(1, 0).as_int(), kLow + 1);
+  EXPECT_EQ(ordered->Get(2, 0).as_int(), kLow);
+
+  auto groups = ExecuteSql(
+      "SELECT id, count(*) AS n FROM t GROUP BY id ORDER BY id", catalog);
+  ASSERT_TRUE(groups.ok());
+  ASSERT_EQ(groups->num_rows(), 2);
+  EXPECT_EQ(groups->Get(0, 0).as_int(), kLow);
+  EXPECT_EQ(groups->Get(1, 1).as_int(), 2);
+}
+
+// strtod reads "nan" and "-0" from a CSV cell. Every NaN is one group and
+// -0.0 groups with 0.0; a group shows the value of its first row.
+TEST(SqlEdgeNanTest, GroupByDoubleWithNanAndSignedZero) {
+  auto t = storage::ReadCsvString("d,x\nnan,1\n1.5,2\n-nan,3\n-0,4\n0,5\nNAN,6\n");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->schema().field(0).type, ValueType::kDouble);
+  Catalog catalog;
+  catalog.Register("t", &*t);
+  auto r = ExecuteSql(
+      "SELECT d, count(*) AS n, sum(x) AS s FROM t GROUP BY d "
+      "ORDER BY n DESC, d",
+      catalog);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3);
+  EXPECT_TRUE(std::isnan(r->Get(0, 0).as_double()));  // nan, -nan, NAN
+  EXPECT_EQ(r->Get(0, 1).as_int(), 3);
+  EXPECT_DOUBLE_EQ(r->Get(0, 2).as_double(), 10.0);
+  EXPECT_EQ(r->Get(1, 0).as_double(), 0.0);  // -0 then 0: shown as -0
+  EXPECT_TRUE(std::signbit(r->Get(1, 0).as_double()));
+  EXPECT_EQ(r->Get(1, 1).as_int(), 2);
+  EXPECT_DOUBLE_EQ(r->Get(2, 0).as_double(), 1.5);
+  // NaN sorts above every number, so it leads a descending order.
+  auto desc = ExecuteSql("SELECT d FROM t ORDER BY d DESC LIMIT 1", catalog);
+  ASSERT_TRUE(desc.ok());
+  EXPECT_TRUE(std::isnan(desc->Get(0, 0).as_double()));
 }
 
 }  // namespace

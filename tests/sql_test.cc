@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "sql/aggregate.h"
 #include "sql/executor.h"
-#include "sql/expr.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql_oracle.h"
 #include "storage/table.h"
 
 namespace qagview::sql {
