@@ -57,7 +57,44 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+namespace {
+
+// A plain decimal: an optional '-', then 1 to 15 digits with at most one '.'
+// among them. Its digits' value and 10^scale are exact doubles, so strtoll
+// and strtod read it as exactly `digits` / 10^`scale` with its sign: one
+// division rounds as strtod does, and "-0" is -0.0 as a double.
+struct PlainDecimal {
+  int64_t digits = 0;
+  int scale = 0;
+  bool negative = false;
+};
+
+bool ReadPlainDecimal(std::string_view s, bool point_ok, PlainDecimal* out) {
+  size_t i = !s.empty() && s[0] == '-' ? 1 : 0;
+  out->negative = i == 1;
+  int count = 0;
+  int point = -1;
+  for (; i < s.size(); ++i) {
+    const unsigned d = static_cast<unsigned char>(s[i]) - '0';
+    if (point_ok && s[i] == '.' && point < 0) {
+      point = count;
+    } else if (d > 9 || ++count > 15) {
+      return false;
+    } else {
+      out->digits = out->digits * 10 + d;
+    }
+  }
+  out->scale = point < 0 ? 0 : count - point;
+  return count > 0;
+}
+
+}  // namespace
+
 Result<int64_t> ParseInt64(std::string_view s) {
+  PlainDecimal plain;
+  if (ReadPlainDecimal(s, false, &plain)) {
+    return plain.negative ? -plain.digits : plain.digits;
+  }
   std::string buf(StripWhitespace(s));
   if (buf.empty()) return Status::ParseError("empty integer literal");
   errno = 0;
@@ -73,6 +110,14 @@ Result<int64_t> ParseInt64(std::string_view s) {
 }
 
 Result<double> ParseDouble(std::string_view s) {
+  static constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                      1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                      1e12, 1e13, 1e14, 1e15};
+  PlainDecimal plain;
+  if (ReadPlainDecimal(s, true, &plain)) {
+    const double v = static_cast<double>(plain.digits) / kPow10[plain.scale];
+    return plain.negative ? -v : v;
+  }
   std::string buf(StripWhitespace(s));
   if (buf.empty()) return Status::ParseError("empty numeric literal");
   errno = 0;

@@ -37,7 +37,10 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 
-/// Strict integer / double parsing (whole string must be consumed).
+/// Strict integer / double parsing (whole string must be consumed, surrounding
+/// whitespace ignored, out-of-range values rejected): strtoll base 10 and
+/// strtod. A plain decimal ('-'?, up to 15 digits, one '.' for a double)
+/// skips both by an exact parse with the same result.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 

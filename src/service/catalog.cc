@@ -21,8 +21,8 @@ std::shared_ptr<storage::ReservoirSampler> DatasetCatalog::MakeSampler(
     const std::string& key, const storage::Table& table) const {
   if (options_.sample_capacity <= 0) return nullptr;
   auto sampler = std::make_shared<storage::ReservoirSampler>(
-      table.schema(), options_.sample_capacity, SampleSeed(key));
-  sampler->AddTable(table);
+      options_.sample_capacity, SampleSeed(key));
+  sampler->AddRows(table.num_rows());
   return sampler;
 }
 
@@ -38,7 +38,9 @@ Status DatasetCatalog::Register(const std::string& name,
   // touches O(capacity * log(n/capacity)) rows, but there is no reason to
   // hold every reader out while it scans.
   entry.sampler = MakeSampler(key, *entry.snapshot.table);
-  if (entry.sampler != nullptr) entry.snapshot.sample = entry.sampler->Snapshot();
+  if (entry.sampler != nullptr) {
+    entry.snapshot.sample = entry.sampler->Snapshot(*entry.snapshot.table);
+  }
   entry.writer = std::make_shared<std::mutex>();
   std::unique_lock<std::shared_mutex> lock(mu_);
   if (tables_.count(key) != 0) {
@@ -92,8 +94,8 @@ Result<uint64_t> DatasetCatalog::AppendRows(
   // rejected append leaves the sample (like the table) untouched.
   std::shared_ptr<const storage::TableSample> sample;
   if (sampler != nullptr) {
-    for (const auto& row : rows) sampler->Add(row);
-    sample = sampler->Snapshot();
+    sampler->AddRows(static_cast<int64_t>(rows.size()));
+    sample = sampler->Snapshot(next);
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry& entry = tables_.at(key);
@@ -115,7 +117,7 @@ Result<uint64_t> DatasetCatalog::ReplaceTable(const std::string& name,
   std::shared_ptr<storage::ReservoirSampler> sampler =
       MakeSampler(key, *snapshot);
   std::shared_ptr<const storage::TableSample> sample;
-  if (sampler != nullptr) sample = sampler->Snapshot();
+  if (sampler != nullptr) sample = sampler->Snapshot(*snapshot);
   while (true) {
     std::shared_ptr<std::mutex> writer;
     {

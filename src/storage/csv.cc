@@ -1,7 +1,12 @@
 #include "storage/csv.h"
 
+#include <algorithm>
+#include <deque>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -42,6 +47,47 @@ Result<std::vector<std::string>> SplitRecord(const std::string& line,
   return cells;
 }
 
+// Fills `column` (INT64 or DOUBLE) with `cells`; false at the first present
+// cell that `parse` rejects.
+template <typename T>
+bool FillNumeric(const std::vector<std::string_view>& cells,
+                 Result<T> (*parse)(std::string_view), Column* column) {
+  for (std::string_view cell : cells) {
+    if (cell.empty()) {
+      column->AppendNull();
+      continue;
+    }
+    const Result<T> v = parse(cell);
+    if (!v.ok()) return false;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      column->AppendInt(*v);
+    } else {
+      column->AppendDouble(*v);
+    }
+  }
+  return true;
+}
+
+// One column's cells as the narrowest type that holds them all (csv.h).
+Column BuildColumn(const std::vector<std::string_view>& cells) {
+  if (std::any_of(cells.begin(), cells.end(),
+                  [](std::string_view cell) { return !cell.empty(); })) {
+    Column ints(ValueType::kInt64);
+    if (FillNumeric(cells, ParseInt64, &ints)) return ints;
+    Column doubles(ValueType::kDouble);
+    if (FillNumeric(cells, ParseDouble, &doubles)) return doubles;
+  }
+  Column strings(ValueType::kString);
+  for (std::string_view cell : cells) {
+    if (cell.empty()) {
+      strings.AppendNull();
+    } else {
+      strings.AppendString(cell);
+    }
+  }
+  return strings;
+}
+
 bool NeedsQuoting(const std::string& s, char sep) {
   return s.find(sep) != std::string::npos ||
          s.find('"') != std::string::npos || s.find('\n') != std::string::npos;
@@ -61,95 +107,85 @@ std::string QuoteCell(const std::string& s) {
 
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
-  std::vector<std::vector<std::string>> records;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    QAG_ASSIGN_OR_RETURN(auto cells, SplitRecord(line, options.separator));
-    records.push_back(std::move(cells));
-  }
-  if (records.empty()) return Status::ParseError("empty CSV input");
-
+  const char sep = options.separator;
   std::vector<std::string> names;
-  size_t first_data = 0;
-  if (options.has_header) {
-    names = records[0];
-    first_data = 1;
-  } else {
-    for (size_t i = 0; i < records[0].size(); ++i) {
-      names.push_back(StrCat("c", i));
-    }
-  }
-  size_t num_cols = names.size();
-  for (size_t r = first_data; r < records.size(); ++r) {
-    if (records[r].size() != num_cols) {
-      return Status::ParseError(
-          StrCat("row ", r, " has ", records[r].size(), " cells, expected ",
-                 num_cols));
-    }
-  }
-
-  // Infer per-column types.
-  std::vector<ValueType> types(num_cols, ValueType::kInt64);
-  for (size_t c = 0; c < num_cols; ++c) {
-    bool all_int = true;
-    bool all_num = true;
-    bool any_value = false;
-    for (size_t r = first_data; r < records.size(); ++r) {
-      const std::string& cell = records[r][c];
-      if (cell.empty()) continue;
-      any_value = true;
-      if (all_int && !ParseInt64(cell).ok()) all_int = false;
-      if (all_num && !ParseDouble(cell).ok()) all_num = false;
-      if (!all_num) break;
-    }
-    if (!any_value) {
-      types[c] = ValueType::kString;
-    } else if (all_int) {
-      types[c] = ValueType::kInt64;
-    } else if (all_num) {
-      types[c] = ValueType::kDouble;
+  std::vector<std::vector<std::string_view>> columns;  // data cells
+  std::deque<std::string> unquoted;  // owns the cells of quoted lines
+  std::vector<std::string_view> record;
+  size_t num_records = 0;  // header included
+  Status ragged;  // the first row of the wrong width
+  const std::string_view all(text);
+  for (size_t pos = 0; pos < all.size();) {
+    size_t eol = all.find('\n', pos);
+    if (eol == std::string_view::npos) eol = all.size();
+    std::string_view line = all.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) continue;
+    record.clear();
+    if (line.find('"') == std::string_view::npos) {
+      for (size_t begin = 0;;) {
+        const size_t end = line.find(sep, begin);
+        record.push_back(line.substr(begin, end - begin));
+        if (end == std::string_view::npos) break;
+        begin = end + 1;
+      }
     } else {
-      types[c] = ValueType::kString;
-    }
-  }
-
-  std::vector<Field> fields;
-  for (size_t c = 0; c < num_cols; ++c) fields.push_back({names[c], types[c]});
-  Table table(Schema{std::move(fields)});
-
-  std::vector<Value> row(num_cols);
-  for (size_t r = first_data; r < records.size(); ++r) {
-    for (size_t c = 0; c < num_cols; ++c) {
-      const std::string& cell = records[r][c];
-      if (cell.empty()) {
-        row[c] = Value::Null();
-      } else {
-        switch (types[c]) {
-          case ValueType::kInt64:
-            row[c] = Value::Int(ParseInt64(cell).value());
-            break;
-          case ValueType::kDouble:
-            row[c] = Value::Real(ParseDouble(cell).value());
-            break;
-          default:
-            row[c] = Value::Str(cell);
-        }
+      QAG_ASSIGN_OR_RETURN(std::vector<std::string> cells,
+                           SplitRecord(std::string(line), sep));
+      for (std::string& cell : cells) {
+        record.push_back(unquoted.emplace_back(std::move(cell)));
       }
     }
-    QAG_RETURN_IF_ERROR(table.AppendRow(row));
+    const size_t r = num_records++;
+    if (r == 0) {
+      for (size_t c = 0; c < record.size(); ++c) {
+        names.push_back(options.has_header ? std::string(record[c])
+                                           : StrCat("c", c));
+      }
+      // Reserve every column's cells: at most one row per line left, and a
+      // row of n cells takes n bytes, so this never outgrows the input.
+      columns.resize(names.size());
+      const std::string_view rest = all.substr(eol);
+      const size_t rows = std::min(
+          static_cast<size_t>(std::count(rest.begin(), rest.end(), '\n')) + 1,
+          rest.size() / names.size() + 1);
+      for (std::vector<std::string_view>& cells : columns) cells.reserve(rows);
+      if (options.has_header) continue;
+    }
+    if (record.size() != names.size()) {
+      if (ragged.ok()) {
+        ragged = Status::ParseError(StrCat("row ", r, " has ", record.size(),
+                                           " cells, expected ", names.size()));
+      }
+      continue;
+    }
+    for (size_t c = 0; c < record.size(); ++c) {
+      columns[c].push_back(record[c]);
+    }
   }
-  return table;
+  if (num_records == 0) return Status::ParseError("empty CSV input");
+  QAG_RETURN_IF_ERROR(ragged);
+
+  std::vector<Field> fields;
+  std::vector<Column> built;
+  for (size_t c = 0; c < names.size(); ++c) {
+    built.push_back(BuildColumn(columns[c]));
+    fields.push_back({std::move(names[c]), built.back().type()});
+    columns[c] = {};  // release the cell views as soon as they are parsed
+  }
+  return Table(Schema(std::move(fields)), std::move(built));
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvString(buf.str(), options);
+  std::string text;
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<size_t>(in.gcount()));
+  }
+  return ReadCsvString(text, options);
 }
 
 std::string WriteCsvString(const Table& table, const CsvOptions& options) {

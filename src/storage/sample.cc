@@ -4,12 +4,13 @@
 #include <limits>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 
 namespace qagview::storage {
 
-ReservoirSampler::ReservoirSampler(Schema schema, int capacity, uint64_t seed)
-    : schema_(std::move(schema)), capacity_(capacity), rng_(seed) {
+ReservoirSampler::ReservoirSampler(int capacity, uint64_t seed)
+    : capacity_(capacity), rng_(seed) {
   QAG_CHECK(capacity_ > 0) << "reservoir capacity must be positive";
   reservoir_.reserve(static_cast<size_t>(capacity_));
 }
@@ -29,55 +30,57 @@ void ReservoirSampler::ScheduleNextPick() {
   next_pick_ = seen_ + static_cast<int64_t>(skip) + 1;
 }
 
-void ReservoirSampler::Add(const std::vector<Value>& row) {
-  ++seen_;
-  if (static_cast<int>(reservoir_.size()) < capacity_) {
-    reservoir_.push_back(row);
+void ReservoirSampler::AddRows(int64_t count) {
+  const int64_t end = seen_ + count;
+  // Fill phase: every row is admitted until the reservoir reaches capacity.
+  while (static_cast<int>(reservoir_.size()) < capacity_ && seen_ < end) {
+    reservoir_.push_back(seen_++);
     if (static_cast<int>(reservoir_.size()) == capacity_) {
       w_ = std::exp(std::log(UnitOpen()) / capacity_);
       ScheduleNextPick();
     }
-    return;
-  }
-  if (seen_ == next_pick_) {
-    reservoir_[static_cast<size_t>(rng_.Index(capacity_))] = row;
-    w_ *= std::exp(std::log(UnitOpen()) / capacity_);
-    ScheduleNextPick();
-  }
-}
-
-void ReservoirSampler::AddTable(const Table& table) {
-  const int64_t n = table.num_rows();
-  int64_t r = 0;
-  // Fill phase: row-by-row until the reservoir reaches capacity.
-  while (static_cast<int>(reservoir_.size()) < capacity_ && r < n) {
-    Add(table.GetRow(r));
-    ++r;
   }
   // Skip-ahead phase: jump straight to each admitted row.
-  while (r < n) {
-    if (next_pick_ - seen_ > n - r) {
-      seen_ += n - r;
-      return;
-    }
-    const int64_t jump = next_pick_ - seen_;
-    r += jump;
-    seen_ += jump;
-    reservoir_[static_cast<size_t>(rng_.Index(capacity_))] =
-        table.GetRow(r - 1);
+  while (static_cast<int>(reservoir_.size()) == capacity_ &&
+         next_pick_ <= end) {
+    seen_ = next_pick_;
+    reservoir_[static_cast<size_t>(rng_.Index(capacity_))] = seen_ - 1;
     w_ *= std::exp(std::log(UnitOpen()) / capacity_);
     ScheduleNextPick();
   }
+  seen_ = end;
 }
 
-std::shared_ptr<const TableSample> ReservoirSampler::Snapshot() const {
-  Table rows{schema_};
-  for (const auto& row : reservoir_) {
-    Status status = rows.AppendRow(row);
-    QAG_CHECK(status.ok()) << "sampled row no longer fits its schema: "
-                           << status.message();
+std::shared_ptr<const TableSample> ReservoirSampler::Snapshot(
+    const Table& table) const {
+  QAG_CHECK(table.num_rows() >= seen_)
+      << "sampled table version is missing rows the sampler has seen";
+  std::vector<Column> columns;
+  columns.reserve(static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const Column& from = table.column(c);
+    Column& to = columns.emplace_back(from.type());
+    // Table code -> sample code, so each string is interned once, not per row.
+    FlatMap64 codes;
+    for (int64_t row : reservoir_) {
+      if (from.IsNull(row)) {
+        to.AppendNull();
+      } else if (from.type() == ValueType::kInt64) {
+        to.AppendInt(from.GetInt(row));
+      } else if (from.type() == ValueType::kDouble) {
+        to.AppendDouble(from.GetDouble(row));
+      } else if (auto [code, fresh] = codes.FindOrInsert(
+                     static_cast<uint64_t>(from.GetStringCode(row)),
+                     to.dictionary().size());
+                 fresh) {
+        to.AppendString(from.GetString(row));
+      } else {
+        to.AppendCode(code);
+      }
+    }
   }
-  return std::make_shared<const TableSample>(std::move(rows), seen_);
+  return std::make_shared<const TableSample>(
+      Table(table.schema(), std::move(columns)), seen_);
 }
 
 }  // namespace qagview::storage

@@ -38,8 +38,8 @@ struct TableSample {
   }
 };
 
-/// \brief Maintains a bounded uniform reservoir over a row stream and
-/// materializes immutable TableSample snapshots of it.
+/// \brief Maintains a bounded uniform reservoir over a table's row stream
+/// and materializes immutable TableSample snapshots of it.
 ///
 /// Classic reservoir sampling with Vitter's Algorithm L skip-ahead: once
 /// the reservoir is full, the sampler draws the gap to the next admitted
@@ -50,31 +50,35 @@ struct TableSample {
 /// which is what lets the dataset catalog maintain it incrementally across
 /// append batches instead of rescanning the table.
 ///
+/// The stream is one table's rows in order, through all its appended
+/// versions, so stream row i is row i of every version. The reservoir holds
+/// row positions, not rows; Snapshot gathers the cells from the version it
+/// is given.
+///
 /// Determinism: all randomness flows through the explicitly seeded Rng, so
 /// the same (seed, row stream) always yields the same sample — the
 /// differential tests rely on this. Not thread-safe; the catalog mutates a
 /// sampler only under the owning dataset's writer mutex.
 class ReservoirSampler {
  public:
-  /// `capacity` > 0 is the reservoir size in rows; `schema` must match
-  /// every row subsequently fed in (the catalog validates rows against the
-  /// table before feeding them here).
-  ReservoirSampler(Schema schema, int capacity, uint64_t seed);
+  /// `capacity` > 0 is the reservoir size in rows.
+  ReservoirSampler(int capacity, uint64_t seed);
 
-  /// Feeds one row of the stream. Copies the row only if it is admitted.
-  void Add(const std::vector<Value>& row);
-
-  /// Feeds every row of `table`, using skip-ahead to materialize only the
-  /// admitted rows (a bulk load touches O(capacity * log(n/capacity)) rows).
-  void AddTable(const Table& table);
+  /// Feeds the next `count` rows of the stream, using skip-ahead to touch
+  /// only the admitted ones (a bulk load draws O(capacity *
+  /// log(n/capacity)) times).
+  void AddRows(int64_t count);
 
   /// Rows seen so far (N, the population of the current sample).
   int64_t population_rows() const { return seen_; }
 
   int capacity() const { return capacity_; }
 
-  /// Materializes the current reservoir as an immutable snapshot.
-  std::shared_ptr<const TableSample> Snapshot() const;
+  /// Materializes the current reservoir as an immutable snapshot, gathering
+  /// each sampled row from `table`, a version holding every row fed so far.
+  /// Rows come in reservoir-slot order, and strings are interned in that
+  /// order.
+  std::shared_ptr<const TableSample> Snapshot(const Table& table) const;
 
  private:
   /// Uniform in (0, 1): log() of the result stays finite.
@@ -84,10 +88,9 @@ class ReservoirSampler {
   /// skip length is geometric with parameter 1 - w_).
   void ScheduleNextPick();
 
-  Schema schema_;
   const int capacity_;
   Rng rng_;
-  std::vector<std::vector<Value>> reservoir_;
+  std::vector<int64_t> reservoir_;  // row positions, one per slot
   int64_t seen_ = 0;       // rows consumed from the stream
   double w_ = 0.0;         // Algorithm L state, valid once the reservoir fills
   int64_t next_pick_ = 0;  // 1-based stream index of the next admitted row

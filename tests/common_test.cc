@@ -1,4 +1,7 @@
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -111,6 +114,31 @@ TEST(StringUtilTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(ParseDouble("-2e3").value(), -2000.0);
   EXPECT_FALSE(ParseDouble("x").ok());
   EXPECT_FALSE(ParseDouble("").ok());
+}
+
+TEST(StringUtilTest, PlainDecimalsParseAsStrtodDoes) {
+  EXPECT_TRUE(std::signbit(ParseDouble("-0").value()));
+  EXPECT_EQ(ParseInt64("-0").value(), 0);
+  EXPECT_FALSE(ParseInt64("1.").ok());
+  EXPECT_FALSE(ParseDouble(".").ok());
+  EXPECT_FALSE(ParseDouble("-").ok());
+  EXPECT_FALSE(ParseDouble("1.2.3").ok());
+  EXPECT_EQ(ParseInt64("-999999999999999").value(), -999999999999999);
+  EXPECT_EQ(ParseInt64("9223372036854775807").value(), INT64_MAX);
+  Rng rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    std::string s = rng.Uniform(0, 1) ? "-" : "";
+    const int64_t digits = rng.Uniform(1, 17);
+    const int64_t point = rng.Uniform(0, digits + 1);  // digits + 1: none
+    for (int64_t d = 0; d < digits; ++d) {
+      if (d == point) s += '.';
+      s += static_cast<char>('0' + rng.Uniform(0, 9));
+    }
+    if (point == digits) s += '.';
+    const double expected = std::strtod(s.c_str(), nullptr);
+    const double got = ParseDouble(s).value();
+    EXPECT_EQ(std::memcmp(&expected, &got, sizeof got), 0) << s;
+  }
 }
 
 TEST(StringUtilTest, StrCatAndFormat) {

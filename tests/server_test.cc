@@ -451,9 +451,11 @@ TEST(ServerDrainTest, ShutdownFinishesEveryAdmittedRequest) {
 
   // A swarm of clients races a shutdown that begins mid-burst. Admitted
   // requests must all complete; connections the drain refuses are allowed
-  // to fail at the transport level — but never with a torn response.
+  // to fail at the transport level or be shed with a 503 at the door — but
+  // never with a torn response.
   constexpr int kClients = 12;
   std::atomic<int> client_2xx{0};
+  std::atomic<int> client_503{0};
   std::atomic<int> transport_failures{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -465,6 +467,8 @@ TEST(ServerDrainTest, ShutdownFinishesEveryAdmittedRequest) {
         transport_failures.fetch_add(1);
       } else if (response->status == 200) {
         client_2xx.fetch_add(1);
+      } else if (response->status == 503) {
+        client_503.fetch_add(1);
       }
     });
   }
@@ -488,7 +492,11 @@ TEST(ServerDrainTest, ShutdownFinishesEveryAdmittedRequest) {
   EXPECT_EQ(stats.server_errors_5xx, 0);
   EXPECT_EQ(client_2xx.load(), stats.served_2xx);
   EXPECT_GE(stats.served_2xx, 4);
-  EXPECT_EQ(client_2xx.load() + transport_failures.load(), kClients);
+  // Every client got a 200, a 503 shed by the acceptor, or no response;
+  // nothing else, and every shed 503 reached its client.
+  EXPECT_EQ(client_2xx.load() + client_503.load() + transport_failures.load(),
+            kClients);
+  EXPECT_EQ(client_503.load(), stats.rejected_503);
 }
 
 TEST(ServerLoadgenTest, OpenLoopBurstOverLoopbackAllSucceeds) {

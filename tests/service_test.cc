@@ -7,13 +7,17 @@
 #include <memory>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "core/explore.h"
 #include "service/query_service.h"
 #include "sql/executor.h"
 #include "storage/csv.h"
+#include "storage/sample.h"
 #include "test_util.h"
 
 namespace qagview::service {
@@ -111,6 +115,81 @@ TEST(DatasetCatalogTest, AppendRowsPublishesNewSnapshotOldReadersKeepTheirs) {
   ASSERT_TRUE(
       catalog.ReplaceTable("fresh", testutil::MakeRatingsTable(9, 3)).ok());
   EXPECT_EQ(catalog.size(), 2);
+}
+
+// Rows of a mixed-type table for the sample digest: a skewed string column
+// with NULLs, an int column and a double column with NULLs and -0.0.
+std::vector<std::vector<storage::Value>> DigestRows(uint64_t seed,
+                                                    int count) {
+  Rng rng(seed);
+  std::vector<std::vector<storage::Value>> rows;
+  for (int i = 0; i < count; ++i) {
+    storage::Value s =
+        rng.Bernoulli(0.05)
+            ? storage::Value::Null()
+            : storage::Value::Str(StrCat("s", rng.Zipf(300, 0.8)));
+    storage::Value n = storage::Value::Int(rng.Uniform(-1000000, 1000000));
+    double d = rng.Gaussian(0.0, 10.0);
+    storage::Value x = rng.Bernoulli(0.05)   ? storage::Value::Null()
+                       : rng.Bernoulli(0.01) ? storage::Value::Real(-0.0)
+                                             : storage::Value::Real(d);
+    rows.push_back({std::move(s), std::move(n), std::move(x)});
+  }
+  return rows;
+}
+
+// FNV-1a over every cell's validity and bits, each dictionary in code
+// order, and the population size.
+uint64_t SampleDigest(const storage::TableSample& sample) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  const storage::Table& t = sample.rows;
+  int64_t rows = t.num_rows();
+  mix(&rows, sizeof rows);
+  for (int c = 0; c < t.num_columns(); ++c) {
+    const storage::Column& col = t.column(c);
+    mix(col.valid().data(), col.valid().size());
+    mix(col.ints().data(), col.ints().size() * sizeof(int64_t));
+    mix(col.doubles().data(), col.doubles().size() * sizeof(double));
+    mix(col.codes().data(), col.codes().size() * sizeof(int32_t));
+    if (col.type() != storage::ValueType::kString) continue;
+    for (int32_t code = 0; code < col.dictionary().size(); ++code) {
+      const std::string& s = col.dictionary().GetString(code);
+      size_t n = s.size();
+      mix(&n, sizeof n);
+      mix(s.data(), n);
+    }
+  }
+  mix(&sample.population_rows, sizeof sample.population_rows);
+  return h;
+}
+
+TEST(DatasetCatalogTest, SampleAfterRegisterAndAppendsIsPinned) {
+  // The reservoir's contents, order and dictionary codes after a register
+  // and three appends, pinned by digest: a change in how the sample is
+  // stored or gathered must not change which rows it holds. The digest was
+  // recorded with the boxed-row reservoir, and the random streams are those
+  // of libstdc++'s distributions.
+  DatasetCatalog catalog;
+  storage::Table table(storage::Schema({{"s", storage::ValueType::kString},
+                                        {"n", storage::ValueType::kInt64},
+                                        {"x", storage::ValueType::kDouble}}));
+  ASSERT_TRUE(table.AppendRows(DigestRows(1, 10000)).ok());
+  ASSERT_TRUE(catalog.Register("t", std::move(table)).ok());
+  for (uint64_t seed = 2; seed <= 4; ++seed) {
+    ASSERT_TRUE(catalog.AppendRows("t", DigestRows(seed, 2500)).ok());
+  }
+  TableSnapshot snapshot = catalog.Find("t");
+  ASSERT_NE(snapshot.sample, nullptr);
+  EXPECT_EQ(snapshot.sample->rows.num_rows(), 4096);
+  EXPECT_EQ(snapshot.sample->population_rows, 17500);
+  EXPECT_EQ(SampleDigest(*snapshot.sample), 4931213326157396367ull);
 }
 
 TEST(QueryServiceTest, QueryCachesSessionsPerSqlAndValueColumn) {

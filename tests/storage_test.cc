@@ -1,8 +1,11 @@
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "storage/csv.h"
 #include "storage/dictionary.h"
 #include "storage/schema.h"
@@ -74,6 +77,52 @@ TEST(DictionaryTest, InternsAndRoundTrips) {
   EXPECT_EQ(dict.GetString(b), "banana");
   EXPECT_EQ(dict.Find("banana").value_or(-1), b);
   EXPECT_FALSE(dict.Find("cherry").has_value());
+}
+
+TEST(DictionaryTest, MatchesAMapReferenceOnManyStrings) {
+  // 100k interns over ~20k distinct strings: the empty string, lengths 15
+  // and 16 (either side of the short-string buffer), embedded NULs and
+  // strings that differ only after one. Codes are first-seen order.
+  Rng rng(5);
+  auto draw = [&rng] {
+    const int64_t id = rng.Index(20000);
+    switch (id % 5) {
+      case 0:
+        return std::string();
+      case 1:
+        return StrCat("k", std::string(14 - StrCat(id).size(), 'x'), id);
+      case 2:
+        return StrCat("k", std::string(15 - StrCat(id).size(), 'y'), id);
+      case 3:
+        return StrCat(std::string("n\0", 2), id, std::string(1, '\0'));
+      default:
+        return StrCat("long string number ", id, std::string(id % 40, 'z'));
+    }
+  };
+  Dictionary dict;
+  std::map<std::string, int32_t> reference;
+  for (int i = 0; i < 100000; ++i) {
+    const std::string s = draw();
+    auto [it, inserted] =
+        reference.emplace(s, static_cast<int32_t>(reference.size()));
+    ASSERT_EQ(dict.Intern(s), it->second) << "intern " << i;
+  }
+  ASSERT_EQ(dict.size(), static_cast<int32_t>(reference.size()));
+  EXPECT_GT(reference.size(), 10000u);
+  for (const auto& [s, code] : reference) {
+    EXPECT_EQ(dict.GetString(code), s);
+    EXPECT_EQ(dict.Find(s).value_or(-1), code);
+    // Near misses: one byte longer, or cut before a trailing NUL.
+    EXPECT_FALSE(dict.Find(s + '\0').has_value());
+    if (!s.empty() && reference.count(s.substr(0, s.size() - 1)) == 0) {
+      EXPECT_FALSE(dict.Find(s.substr(0, s.size() - 1)).has_value());
+    }
+  }
+  // A copy interns independently of its source.
+  Dictionary copy = dict;
+  EXPECT_EQ(copy.Intern("only in the copy"), dict.size());
+  EXPECT_FALSE(dict.Find("only in the copy").has_value());
+  EXPECT_EQ(copy.Find("").value_or(-1), dict.Find("").value_or(-2));
 }
 
 TEST(ColumnTest, TypedStorageAndNulls) {
